@@ -40,11 +40,11 @@ func headline(b *testing.B, model dnn.Model) (*core.Report, *core.Report) {
 	b.Helper()
 	cfg := core.DefaultConfig(model)
 	cfg.MaxSimUnits = 256
-	off, err := core.NewHostOffload(cfg).Run()
+	off, err := run("hostoffload", cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt, err := core.NewOptimStore(cfg).Run()
+	opt, err := run("optimstore", cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ResetTimer()
 	var ops float64
 	for i := 0; i < b.N; i++ {
-		r, err := core.NewOptimStore(cfg).Run()
+		r, err := run("optimstore", cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -215,4 +215,13 @@ func BenchmarkF19_StreamSeparation(b *testing.B) {
 	if on > 0 {
 		b.ReportMetric(off/on, "waf-reduction-x")
 	}
+}
+
+// run simulates one system on a configuration.
+func run(system string, cfg core.Config) (*core.Report, error) {
+	sys, err := core.NewSystem(system, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sys.Run()
 }

@@ -32,7 +32,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment ID (T1, T2, F1..F15) or 'all'")
+		exp      = flag.String("exp", "all", "comma-separated experiment IDs (T1, T2, F1..F21; -list shows them) or 'all'")
 		quick    = flag.Bool("quick", false, "small simulation windows (seconds instead of minutes)")
 		format   = flag.String("format", "text", "output format: text, markdown or csv")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")

@@ -65,11 +65,11 @@ func main() {
 	for _, batch := range []int{1, 4, 8, 16, 32} {
 		c := cfg
 		c.Batch = batch
-		off, err := core.NewHostOffload(c).Run()
+		off, err := run("hostoffload", c)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ost, err := core.NewOptimStore(c).Run()
+		ost, err := run("optimstore", c)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -77,4 +77,13 @@ func main() {
 			fmt.Sprintf("%.2fx", ost.TokensPerSec/off.TokensPerSec))
 	}
 	fmt.Print(t)
+}
+
+// run simulates one system on a configuration.
+func run(system string, cfg core.Config) (*core.Report, error) {
+	sys, err := core.NewSystem(system, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sys.Run()
 }

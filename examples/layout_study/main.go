@@ -30,7 +30,7 @@ func main() {
 	for i, strat := range layout.Strategies() {
 		c := cfg
 		c.Layout = strat
-		r, err := core.NewOptimStore(c).Run()
+		r, err := run("optimstore", c)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -75,4 +75,13 @@ func main() {
   cycles make that a consumable; an SLC-mode state region (1 bit/cell,
   ~100K usable cycles) trades 3x capacity for ~30-50x lifetime — the
   deployment-defining knob for in-storage training.`)
+}
+
+// run simulates one system on a configuration.
+func run(system string, cfg core.Config) (*core.Report, error) {
+	sys, err := core.NewSystem(system, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sys.Run()
 }

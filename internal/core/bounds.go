@@ -45,72 +45,36 @@ func BoundFor(system string, cfg Config) (Bound, bool) {
 	}, true
 }
 
-// energyFloor prices the mandatory traffic of one step. Every Activity
-// component mirrors either the exact analytic assignment the system's
-// report() makes (PCIe, DRAM, HBM, compute ops) or the conservation floor
-// the invariant registry enforces on the simulated counters (NAND reads/
-// programs, channel bus), using the same scaled-window arithmetic, so the
-// floor can never exceed what the simulation reports.
+// energyFloor prices the mandatory traffic of one step: the system's
+// traffic (the exact PCIe, DRAM, HBM and compute assignment its report
+// makes) plus the conservation floor the invariant registry enforces on
+// the simulated NAND reads/programs and channel bus, using the same
+// scaled-window arithmetic, so the floor can never exceed what the
+// simulation reports.
 func energyFloor(system string, cfg Config) float64 {
-	kernel := kernelFor(cfg)
-	simUnits := cfg.SimUnits()
-	scale := cfg.ScaleFactor()
-	totalUnits := cfg.TouchedUnits()
-	comps := int64(cfg.Comps())
-	pageSize := int64(cfg.SSD.Nand.PageSize)
-	gradB := cfg.GradBytesPerUnit()
-	woutB := cfg.WeightOutBytesPerUnit()
-	residentB := cfg.ResidentBytesPerUnit()
-	elems := int64(cfg.ElemsPerPage())
-	flops := int64(kernel.FlopsPerElem)
-
-	scaled := func(window int64) float64 {
-		return float64(int64(float64(window) * scale))
-	}
-
-	var a energy.Activity
-	switch system {
-	case "optimstore":
-		passes := int64(kernel.ReadPasses)
-		a.NANDReadBytes = scaled(simUnits * comps * pageSize * passes)
-		a.NANDProgramBytes = scaled(simUnits * comps * pageSize)
-		// Scattered layouts add cross-die hops on top; the colocated
-		// window is the proven floor for every layout.
-		busWindow := simUnits * (gradB + woutB)
-		if kernel.ReadPasses > 1 {
-			busWindow += simUnits * 128 // trust-ratio reduction round trip
+	a := traffic(system, cfg)
+	if system != "gpuresident" {
+		kernel := kernelFor(cfg)
+		simUnits := cfg.SimUnits()
+		scale := cfg.ScaleFactor()
+		pages := simUnits * int64(cfg.Comps()) * int64(cfg.SSD.Nand.PageSize)
+		scaled := func(window int64) float64 {
+			return float64(int64(float64(window) * scale))
 		}
-		a.BusBytes = scaled(busWindow)
-		a.PCIeBytes = float64((gradB + woutB) * totalUnits)
-		a.DRAMBytes = float64((gradB + woutB) * totalUnits)
-		a.ODPOps = float64(simUnits*elems*flops) * scale
-	case "hostoffload":
-		a.NANDReadBytes = scaled(simUnits * comps * pageSize)
-		a.NANDProgramBytes = scaled(simUnits * comps * pageSize)
-		a.BusBytes = scaled(simUnits * comps * pageSize * 2)
-		a.PCIeBytes = float64(2 * residentB * totalUnits)
-		a.DRAMBytes = float64(2 * residentB * totalUnits)
-		a.HBMBytes = float64((2*residentB + gradB + woutB) * totalUnits)
-		a.GPUOps = float64(totalUnits) * float64(elems) * float64(flops)
-	case "interleaved":
-		a.NANDReadBytes = scaled(simUnits * comps * pageSize)
-		a.NANDProgramBytes = scaled(simUnits * comps * pageSize)
-		a.BusBytes = scaled(simUnits * comps * pageSize * 2)
-		a.PCIeBytes = float64(2 * residentB * totalUnits)
-		a.DRAMBytes = float64((2*residentB + gradB + woutB) * totalUnits)
-		a.CPUOps = float64(totalUnits) * float64(elems) * float64(flops)
-	case "ctrlisp":
-		a.NANDReadBytes = scaled(simUnits * comps * pageSize)
-		a.NANDProgramBytes = scaled(simUnits * comps * pageSize)
-		a.BusBytes = scaled(simUnits * comps * pageSize * 2)
-		a.PCIeBytes = float64((gradB + woutB) * totalUnits)
-		a.DRAMBytes = float64((2*residentB + gradB + woutB) * totalUnits)
-		a.CPUOps = float64(totalUnits) * float64(elems) * float64(flops)
-	case "gpuresident":
-		spec := cfg.Spec()
-		touched := float64(cfg.Model.Params) * cfg.Model.UpdateFraction()
-		a.HBMBytes = touched * (2*spec.ResidentBytes() + float64(spec.GradBytes+spec.WeightOutBytes))
-		a.GPUOps = touched * float64(flops)
+		a.NANDProgramBytes = scaled(pages)
+		if system == "optimstore" {
+			a.NANDReadBytes = scaled(pages * int64(kernel.ReadPasses))
+			// Scattered layouts add cross-die hops on top; the colocated
+			// window is the proven floor for every layout.
+			busWindow := simUnits * (cfg.GradBytesPerUnit() + cfg.WeightOutBytesPerUnit())
+			if kernel.ReadPasses > 1 {
+				busWindow += simUnits * 128 // trust-ratio reduction round trip
+			}
+			a.BusBytes = scaled(busWindow)
+		} else {
+			a.NANDReadBytes = scaled(pages)
+			a.BusBytes = scaled(pages * 2)
+		}
 	}
 	return energy.DefaultCosts().Evaluate(a).Total()
 }

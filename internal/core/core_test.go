@@ -32,6 +32,15 @@ func mustRun(t *testing.T, name string, cfg Config) *Report {
 	return r
 }
 
+func roofline(t *testing.T, name string, cfg Config) Roofline {
+	t.Helper()
+	r, ok := RooflineFor(name, cfg)
+	if !ok {
+		t.Fatalf("RooflineFor(%q) unknown", name)
+	}
+	return r
+}
+
 func TestAllSystemsRun(t *testing.T) {
 	cfg := testConfig(dnn.GPT13B())
 	for _, name := range SystemNames() {
@@ -371,9 +380,15 @@ func TestHostOffloadSmallTopologyNoWedge(t *testing.T) {
 func TestWindowCapacityGuard(t *testing.T) {
 	cfg := testConfig(dnn.GPT13B())
 	cfg.MaxSimUnits = 10_000_000 // would exceed the simulated device window
-	sys, _ := NewSystem("optimstore", cfg)
-	if _, err := sys.Run(); err == nil {
-		t.Fatal("oversized window accepted")
+	for _, name := range []string{"optimstore", "hostoffload", "interleaved", "ctrlisp"} {
+		sys, _ := NewSystem(name, cfg)
+		_, err := sys.Run()
+		if err == nil {
+			t.Fatalf("%s: oversized window accepted", name)
+		}
+		if !strings.Contains(err.Error(), "exceeds device logical capacity") {
+			t.Errorf("%s: unexpected error %v", name, err)
+		}
 	}
 }
 
@@ -550,7 +565,7 @@ func TestSimulationRespectsRoofline(t *testing.T) {
 	}
 	for i, cfg := range cases {
 		opt := mustRun(t, "optimstore", cfg)
-		floor := OptimStoreRoofline(cfg).Floor()
+		floor := roofline(t, "optimstore", cfg).Floor()
 		if opt.OptStepTime < floor {
 			t.Errorf("case %d: optimstore %v beat the analytic floor %v", i, opt.OptStepTime, floor)
 		}
@@ -558,7 +573,7 @@ func TestSimulationRespectsRoofline(t *testing.T) {
 			t.Errorf("case %d: optimstore %v more than 2x floor %v — pipeline stall", i, opt.OptStepTime, floor)
 		}
 		off := mustRun(t, "hostoffload", cfg)
-		ofloor := HostOffloadRoofline(cfg).Floor()
+		ofloor := roofline(t, "hostoffload", cfg).Floor()
 		if off.OptStepTime < ofloor {
 			t.Errorf("case %d: offload %v beat the analytic floor %v", i, off.OptStepTime, ofloor)
 		}
@@ -571,12 +586,12 @@ func TestSimulationRespectsRoofline(t *testing.T) {
 func TestRooflineIdentifiesBottleneck(t *testing.T) {
 	cfg := testConfig(dnn.GPT13B())
 	// OptimStore at the default point is media-bound.
-	r := OptimStoreRoofline(cfg)
+	r := roofline(t, "optimstore", cfg)
 	if r.Floor() != r.Media {
 		t.Fatalf("optimstore floor should be media: %+v", r)
 	}
 	// Host offload is PCIe-bound.
-	o := HostOffloadRoofline(cfg)
+	o := roofline(t, "hostoffload", cfg)
 	if o.Floor() != o.PCIe {
 		t.Fatalf("offload floor should be PCIe: %+v", o)
 	}

@@ -1,61 +1,19 @@
 package core
 
 import (
-	"fmt"
-
-	"repro/internal/energy"
 	"repro/internal/host"
-	"repro/internal/layout"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 )
 
-// CtrlISP is the in-SSD-controller processing baseline: state pages leave
+// ctrlISP is the in-SSD-controller processing baseline: state pages leave
 // the dies over the channel buses into controller DRAM, a few embedded
 // cores run the optimizer kernel, and updated pages travel back to be
 // programmed. It avoids PCIe for the bulk state but pays full channel-bus
 // traffic and is throttled by the controller's weak memory system — the
 // middle design point between host offload and on-die processing.
-type CtrlISP struct {
-	cfg Config
-}
-
-// NewCtrlISP builds the baseline for a configuration.
-func NewCtrlISP(cfg Config) *CtrlISP { return &CtrlISP{cfg: cfg} }
-
-// Name implements System.
-func (s *CtrlISP) Name() string { return "ctrl-isp" }
-
-// Run implements System.
-func (s *CtrlISP) Run() (*Report, error) {
-	cfg := s.cfg
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	eng := sim.NewEngine()
-	if cfg.Trace != nil {
-		eng.SetTracer(cfg.Trace)
-	}
-	dev := ssd.NewDevice(eng, cfg.SSD)
-	geo := dev.Geometry()
-	link := host.NewLink(eng, cfg.Link)
+func ctrlISP(p *pipeline) stage {
+	cfg, eng, dev, geo, lay, comps := p.cfg, p.eng, p.dev, p.geo, p.lay, p.comps
 	ctrl := host.NewCPU(eng, cfg.CtrlCPU)
-
-	simUnits := cfg.SimUnits()
-	comps := cfg.Comps()
-	lay, err := layout.New(geo, comps, simUnits, cfg.Layout)
-	if err != nil {
-		return nil, err
-	}
-	if lay.LogicalPages() > dev.FTL().LogicalPages() {
-		return nil, fmt.Errorf("core: window exceeds device capacity — lower MaxSimUnits")
-	}
-	dev.SetPlaneMapper(lay.PlaneMapper())
-	for lpa := int64(0); lpa < lay.LogicalPages(); lpa++ {
-		dev.Preload(lpa)
-	}
-	inj := armFaults(eng, dev, cfg)
-
 	elems := cfg.ElemsPerPage()
 	residentB := cfg.ResidentBytesPerUnit()
 	gradB := cfg.GradBytesPerUnit()
@@ -64,41 +22,10 @@ func (s *CtrlISP) Run() (*Report, error) {
 	pageSize := geo.PageSize
 
 	// Inbound gradients over PCIe, chunked.
-	unitsPerChunk := cfg.TransferChunkBytes / gradB
-	if unitsPerChunk < 1 {
-		unitsPerChunk = 1
-	}
-	nChunks := (simUnits + unitsPerChunk - 1) / unitsPerChunk
-	arrived := scheduleGradArrivals(eng, link.ToDevice, gradSchedule(cfg, nChunks), simUnits, unitsPerChunk, gradB)
+	unitsPerChunk, arrived := p.gradArrivals(gradB, p.link.ToDevice)
 
-	var endTime sim.Time
-	finished := false
-	outbound := newOutBatcher(cfg.TransferChunkBytes, link.FromDevice, func() {
-		dev.Drain(func() {
-			disarmFaults(inj)
-			endTime = eng.Now()
-			finished = true
-		})
-	})
-
-	// Admission window: ~4 units in flight per plane-slot a unit occupies,
-	// so planes stay pipelined regardless of how many pages a unit has
-	// (SGD's single-page units need a 3× deeper window than Adam's).
-	inflightCap := int64(4 * geo.Planes() / comps)
-	if min := int64(4 * geo.Dies()); inflightCap < min {
-		inflightCap = min
-	}
-	var next, completed int64
-	var launch func()
-	unitDone := func() {
-		completed++
-		if completed == simUnits {
-			outbound.close()
-		}
-		launch()
-	}
-
-	startUnit := func(u int64) {
+	st := stage{inflightCap: p.planeDepth(), outBytes: woutB}
+	st.start = func(u int64, unitDone func()) {
 		place := lay.Placement(u)
 		// Phase 1: gradient available + all pages pulled to the controller
 		// (array read, then bus transfer out of each component's die).
@@ -107,10 +34,7 @@ func (s *CtrlISP) Run() (*Report, error) {
 			dramBytes := float64(2*residentB + gradB + woutB)
 			ctrl.Run(float64(elems)*float64(kernel), dramBytes, span(eng, "ctrl-kernel", func() {
 				// Phase 3: push updated pages back and program them.
-				c := sim.NewCounter(comps, span(eng, "program-push", func() {
-					outbound.add(woutB)
-					unitDone()
-				}))
+				c := sim.NewCounter(comps, span(eng, "program-push", unitDone))
 				for comp := 0; comp < comps; comp++ {
 					lpa := lay.LPA(u, comp)
 					wch, wdie, _ := geo.PlaneLoc(place.Planes[comp])
@@ -131,56 +55,5 @@ func (s *CtrlISP) Run() (*Report, error) {
 			)
 		}
 	}
-	launch = func() {
-		for next < simUnits && next-completed < inflightCap {
-			u := next
-			next++
-			startUnit(u)
-		}
-	}
-	launch()
-	eng.Run()
-	if !finished {
-		return nil, fmt.Errorf("core: ctrl-isp simulation wedged at %v (%d/%d units)",
-			eng.Now(), completed, simUnits)
-	}
-
-	scale := cfg.ScaleFactor()
-	counts := dev.Counts()
-	totalUnits := cfg.TouchedUnits()
-	r := &Report{
-		System:              s.Name(),
-		Model:               cfg.Model.Name,
-		Optimizer:           cfg.Optimizer.String(),
-		Precision:           cfg.Precision.String(),
-		Params:              cfg.Model.Params,
-		TotalUnits:          totalUnits,
-		SimUnits:            simUnits,
-		SimTime:             endTime,
-		SimEvents:           eng.Fired(),
-		SimPCIeToDevBytes:   int64(link.BytesToDevice()),
-		SimPCIeFromDevBytes: int64(link.BytesFromDevice()),
-		OptStepTime:         endTime.Scale(scale),
-		PCIeBytes:           (gradB + woutB) * totalUnits,
-		BusBytes:            int64(float64(counts.BytesIn+counts.BytesOut) * scale),
-		NANDReadBytes:       int64(float64(counts.Reads) * float64(pageSize) * scale),
-		NANDProgramBytes:    int64(float64(counts.Programs) * float64(pageSize) * scale),
-		DRAMBytes:           (2*residentB + gradB + woutB) * totalUnits,
-		WAF:                 dev.Stats().WAF,
-		Feasible:            true,
-	}
-	r.LinkUtil = link.Utilization()
-	r.BusUtil = meanBusUtil(dev)
-	evalEnergy(r, energy.Activity{
-		NANDReadBytes:    float64(r.NANDReadBytes),
-		NANDProgramBytes: float64(r.NANDProgramBytes),
-		NANDEraseBytes:   float64(counts.Erases) * float64(cfg.SSD.Nand.BlockBytes()) * scale,
-		BusBytes:         float64(r.BusBytes),
-		PCIeBytes:        float64(r.PCIeBytes),
-		DRAMBytes:        float64(r.DRAMBytes),
-		CPUOps:           float64(totalUnits) * float64(elems) * float64(kernel),
-	})
-	cfg.endToEnd(r)
-	accountFaults(cfg, r, inj)
-	return r, nil
+	return st
 }

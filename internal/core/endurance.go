@@ -83,7 +83,10 @@ func RunEndurance(cfg Config, cell nand.CellType, steps int) (*EnduranceReport, 
 	rep.LifetimeSteps, _ = AnalyticLifetime(cfg, cell, waf)
 
 	// Wall-clock lifetime at this configuration's training cadence.
-	sys := NewOptimStore(cfg)
+	sys, err := NewSystem("optimstore", cfg)
+	if err != nil {
+		return nil, err
+	}
 	r, err := sys.Run()
 	if err != nil {
 		return nil, err

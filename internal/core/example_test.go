@@ -16,14 +16,19 @@ func Example() {
 	cfg := core.DefaultConfig(dnn.GPT13B())
 	cfg.MaxSimUnits = 256
 
-	offload, err := core.NewHostOffload(cfg).Run()
-	if err != nil {
-		log.Fatal(err)
+	var reports []*core.Report
+	for _, name := range []string{"hostoffload", "optimstore"} {
+		sys, err := core.NewSystem(name, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		r, err := sys.Run()
+		if err != nil {
+			log.Fatal(err)
+		}
+		reports = append(reports, r)
 	}
-	optimstore, err := core.NewOptimStore(cfg).Run()
-	if err != nil {
-		log.Fatal(err)
-	}
+	offload, optimstore := reports[0], reports[1]
 	fmt.Printf("PCIe traffic: offload %d GB, in-storage %d GB\n",
 		units.Bytes(offload.PCIeBytes)/units.GB, units.Bytes(optimstore.PCIeBytes)/units.GB)
 	fmt.Printf("in-storage wins on the optimizer step: %v\n",

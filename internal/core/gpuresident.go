@@ -3,46 +3,40 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/energy"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
 
-// GPUResident is the no-offload reference: weights, gradients and
+// gpuResident is the no-offload reference: weights, gradients and
 // optimizer state all live in GPU memory and the update is a single
 // HBM-bandwidth-bound kernel. It is the fastest design whenever it fits —
 // the reproduction's point is the crossover once state exceeds device
 // memory. Evaluated analytically (no event simulation needed: a single
 // device-local streaming kernel).
-type GPUResident struct {
+type gpuResident struct {
 	cfg Config
 }
 
-// NewGPUResident builds the reference for a configuration.
-func NewGPUResident(cfg Config) *GPUResident { return &GPUResident{cfg: cfg} }
-
 // Name implements System.
-func (s *GPUResident) Name() string { return "gpu-resident" }
+func (s gpuResident) Name() string { return "gpu-resident" }
 
-// TrainingBytesPerParam is the standard mixed-precision training footprint
+// trainingBytesPerParam is the standard mixed-precision training footprint
 // accounting (Rajbhandari et al.): FP16 weights (2) + FP16 gradients (2)
 // + FP32 master weights, momentum and variance (12) = 16 bytes/param for
 // Adam-family optimizers; fewer state words shrink it accordingly.
 // Fractional because quantized state carries amortised block scales.
-func (s *GPUResident) TrainingBytesPerParam() float64 {
+func (s gpuResident) trainingBytesPerParam() float64 {
 	spec := s.cfg.Spec()
 	return float64(spec.GradBytes+spec.WeightOutBytes) + spec.ResidentBytes()
 }
 
 // Run implements System.
-func (s *GPUResident) Run() (*Report, error) {
+func (s gpuResident) Run() (*Report, error) {
 	cfg := s.cfg
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	params := cfg.Model.Params
-	spec := cfg.Spec()
-	kernel := kernelFor(cfg)
 
 	r := &Report{
 		System:     s.Name(),
@@ -55,7 +49,7 @@ func (s *GPUResident) Run() (*Report, error) {
 
 	// Feasibility: training footprint plus a 20% activation/workspace
 	// allowance must fit device memory.
-	needBytes := s.TrainingBytesPerParam() * float64(params) * 1.2
+	needBytes := s.trainingBytesPerParam() * float64(params) * 1.2
 	haveBytes := cfg.GPU.MemoryGB * units.BytesPerGB
 	if needBytes > haveBytes {
 		r.Feasible = false
@@ -65,16 +59,11 @@ func (s *GPUResident) Run() (*Report, error) {
 	}
 	r.Feasible = true
 
-	// The fused update kernel streams state once in, once out, reads
-	// gradients, writes working weights — over the parameters this step
-	// touches (sparse models touch a small fraction).
-	touched := float64(params) * cfg.Model.UpdateFraction()
-	hbmBytes := touched * (2*spec.ResidentBytes() + float64(spec.GradBytes+spec.WeightOutBytes))
-	flops := touched * float64(kernel.FlopsPerElem)
-	r.OptStepTime = cfg.GPU.KernelTime(flops, hbmBytes)
+	a := traffic("gpuresident", cfg)
+	r.OptStepTime = cfg.GPU.KernelTime(a.GPUOps, a.HBMBytes)
 	r.SimTime = r.OptStepTime
 	r.SimUnits = r.TotalUnits
-	r.HBMBytes = int64(hbmBytes)
+	r.HBMBytes = int64(a.HBMBytes)
 	r.WAF = 1
 	// Analytic system: no event engine, so the single fused-kernel phase
 	// is emitted as one synthetic span covering the whole step.
@@ -82,15 +71,12 @@ func (s *GPUResident) Run() (*Report, error) {
 		cfg.Trace.Span(phaseTrack, "update", 0, r.OptStepTime)
 	}
 
-	evalEnergy(r, energy.Activity{
-		HBMBytes: hbmBytes,
-		GPUOps:   flops,
-	})
+	evalEnergy(r, a)
 	cfg.endToEnd(r)
 	// Sanity: the reference never reports a zero step.
 	if r.OptStepTime <= 0 {
 		r.OptStepTime = sim.Time(1)
 	}
-	accountFaultsAnalytic(cfg, r, int64(s.TrainingBytesPerParam()*float64(params)))
+	accountFaultsAnalytic(cfg, r, int64(s.trainingBytesPerParam()*float64(params)))
 	return r, nil
 }

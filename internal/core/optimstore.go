@@ -3,60 +3,18 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/energy"
-	"repro/internal/host"
-	"repro/internal/layout"
 	"repro/internal/odp"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 )
 
-// OptimStore is the paper's system: gradients stream to the SSD, each NAND
+// optimStore is the paper's system: gradients stream to the SSD, each NAND
 // die's processing unit reads the co-located weight/state pages from its
 // planes, executes the optimizer kernel, programs the updated pages back
 // (log-structured, same plane), and returns working-precision weights.
 // Only gradients and low-precision weights ever cross the channel bus and
 // PCIe; the bulk read-modify-write runs at aggregate plane bandwidth.
-type OptimStore struct {
-	cfg Config
-}
-
-// NewOptimStore builds the system for a configuration.
-func NewOptimStore(cfg Config) *OptimStore { return &OptimStore{cfg: cfg} }
-
-// Name implements System.
-func (s *OptimStore) Name() string { return "optimstore" }
-
-// Run implements System.
-func (s *OptimStore) Run() (*Report, error) {
-	cfg := s.cfg
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	eng := sim.NewEngine()
-	if cfg.Trace != nil {
-		eng.SetTracer(cfg.Trace)
-	}
-	dev := ssd.NewDevice(eng, cfg.SSD)
-	geo := dev.Geometry()
-	link := host.NewLink(eng, cfg.Link)
-
-	simUnits := cfg.SimUnits()
-	comps := cfg.Comps()
-	lay, err := layout.New(geo, comps, simUnits, cfg.Layout)
-	if err != nil {
-		return nil, err
-	}
-	if lay.LogicalPages() > dev.FTL().LogicalPages() {
-		return nil, fmt.Errorf("core: window of %d pages exceeds device logical capacity %d — lower MaxSimUnits",
-			lay.LogicalPages(), dev.FTL().LogicalPages())
-	}
-	dev.SetPlaneMapper(lay.PlaneMapper())
-	for lpa := int64(0); lpa < lay.LogicalPages(); lpa++ {
-		dev.Preload(lpa)
-	}
-	inj := armFaults(eng, dev, cfg)
-
+func optimStore(p *pipeline) stage {
+	cfg, eng, dev, geo, lay, comps := p.cfg, p.eng, p.dev, p.geo, p.lay, p.comps
 	// One compute unit per die.
 	units := make([][]*odp.Unit, cfg.SSD.Channels)
 	for ch := range units {
@@ -74,44 +32,19 @@ func (s *OptimStore) Run() (*Report, error) {
 
 	// Inbound gradient stream: chunked PCIe transfers; units wait on their
 	// chunk's arrival.
-	unitsPerChunk := cfg.TransferChunkBytes / gradB
-	if unitsPerChunk < 1 {
-		unitsPerChunk = 1
-	}
-	nChunks := (simUnits + unitsPerChunk - 1) / unitsPerChunk
-	arrived := scheduleGradArrivals(eng, link.ToDevice, gradSchedule(cfg, nChunks), simUnits, unitsPerChunk, gradB)
+	unitsPerChunk, arrived := p.gradArrivals(gradB, p.link.ToDevice)
 
-	var endTime sim.Time
-	finished := false
-	outbound := newOutBatcher(cfg.TransferChunkBytes,
-		link.FromDevice,
-		func() {
-			dev.Drain(func() {
-				disarmFaults(inj)
-				endTime = eng.Now()
-				finished = true
-			})
-		})
-
-	// Admission window: enough units in flight to keep every plane's read/
-	// program pipeline full, few enough that reads do not flood the plane
-	// queues ahead of programs.
-	// Admission window: ~4 units in flight per plane-slot a unit occupies,
-	// so planes stay pipelined regardless of how many pages a unit has
-	// (SGD's single-page units need a 3× deeper window than Adam's).
-	inflightCap := int64(4 * geo.Planes() / comps)
-	if min := int64(4 * geo.Dies()); inflightCap < min {
-		inflightCap = min
-	}
-	var next, completed int64
-	unitDone := func() {
-		completed++
-		if completed == simUnits {
-			outbound.close()
+	st := stage{inflightCap: p.planeDepth(), outBytes: woutB}
+	st.fill = func(r *Report) {
+		var util float64
+		for _, row := range units {
+			for _, u := range row {
+				util += u.Utilization()
+			}
 		}
+		r.ODPUtil = util / float64(len(units)*len(units[0]))
 	}
-	var launch func()
-	startUnit := func(u int64) {
+	st.start = func(u int64, unitDone func()) {
 		place := lay.Placement(u)
 		odpU := units[place.HomeChannel][place.HomeDie]
 
@@ -158,11 +91,7 @@ func (s *OptimStore) Run() (*Report, error) {
 		}
 
 		finish := func() {
-			dev.TransferFromDie(place.HomeChannel, place.HomeDie, int(woutB), span(eng, "writeback", func() {
-				outbound.add(woutB)
-				unitDone()
-				launch()
-			}))
+			dev.TransferFromDie(place.HomeChannel, place.HomeDie, int(woutB), span(eng, "writeback", unitDone))
 		}
 
 		// Phase 2: kernel execution, one or two passes.
@@ -198,82 +127,5 @@ func (s *OptimStore) Run() (*Report, error) {
 		})
 		readAll(join.Done)
 	}
-	launch = func() {
-		for next < simUnits && next-completed < inflightCap {
-			u := next
-			next++
-			startUnit(u)
-		}
-	}
-	launch()
-	eng.Run()
-	if !finished {
-		return nil, fmt.Errorf("core: optimstore simulation wedged at %v (%d/%d units)",
-			eng.Now(), completed, simUnits)
-	}
-
-	r, err := s.report(cfg, dev, units, link, endTime, eng.Fired())
-	if err != nil {
-		return nil, err
-	}
-	accountFaults(cfg, r, inj)
-	return r, nil
-}
-
-func (s *OptimStore) report(cfg Config, dev *ssd.Device, units [][]*odp.Unit, link *host.Link, endTime sim.Time, fired uint64) (*Report, error) {
-	scale := cfg.ScaleFactor()
-	counts := dev.Counts()
-	var odpFlops float64
-	for _, row := range units {
-		for _, u := range row {
-			odpFlops += float64(u.Flops())
-		}
-	}
-	totalUnits := cfg.TouchedUnits()
-	gradB, woutB := cfg.GradBytesPerUnit(), cfg.WeightOutBytesPerUnit()
-	pageSize := int64(cfg.SSD.Nand.PageSize)
-	blockBytes := cfg.SSD.Nand.BlockBytes()
-
-	r := &Report{
-		System:              s.Name(),
-		Model:               cfg.Model.Name,
-		Optimizer:           cfg.Optimizer.String(),
-		Precision:           cfg.Precision.String(),
-		Params:              cfg.Model.Params,
-		TotalUnits:          totalUnits,
-		SimUnits:            cfg.SimUnits(),
-		SimTime:             endTime,
-		SimEvents:           fired,
-		SimPCIeToDevBytes:   int64(link.BytesToDevice()),
-		SimPCIeFromDevBytes: int64(link.BytesFromDevice()),
-		// The step is throughput-bound: extrapolate the window linearly.
-		OptStepTime:      endTime.Scale(scale),
-		PCIeBytes:        (gradB + woutB) * totalUnits,
-		BusBytes:         int64(float64(counts.BytesIn+counts.BytesOut) * scale),
-		NANDReadBytes:    int64(float64(counts.Reads) * float64(pageSize) * scale),
-		NANDProgramBytes: int64(float64(counts.Programs) * float64(pageSize) * scale),
-		DRAMBytes:        (gradB + woutB) * totalUnits,
-		WAF:              dev.Stats().WAF,
-		Feasible:         true,
-	}
-	r.LinkUtil = link.Utilization()
-	r.BusUtil = meanBusUtil(dev)
-	var odpUtil float64
-	for _, row := range units {
-		for _, u := range row {
-			odpUtil += u.Utilization()
-		}
-	}
-	r.ODPUtil = odpUtil / float64(len(units)*len(units[0]))
-	evalEnergy(r, energy.Activity{
-		NANDReadBytes:    float64(r.NANDReadBytes),
-		NANDProgramBytes: float64(r.NANDProgramBytes),
-		NANDEraseBytes:   float64(counts.Erases) * float64(blockBytes) * scale,
-		BusBytes:         float64(r.BusBytes),
-		PCIeBytes:        float64(r.PCIeBytes),
-		DRAMBytes:        float64(r.DRAMBytes),
-		ODPOps:           odpFlops * scale,
-	})
-	cfg.endToEnd(r)
-	return r, nil
+	return st
 }

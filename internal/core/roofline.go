@@ -52,22 +52,25 @@ func (r Roofline) Binding() string {
 func RooflineFor(system string, cfg Config) (r Roofline, ok bool) {
 	switch system {
 	case "optimstore":
-		return OptimStoreRoofline(cfg), true
+		return optimStoreRoofline(cfg), true
 	case "hostoffload":
-		return HostOffloadRoofline(cfg), true
+		return offloadRoofline(cfg, cfg.GPU.KernelTime), true
 	case "interleaved":
-		return InterleavedRoofline(cfg), true
+		return offloadRoofline(cfg, cfg.HostCPU.KernelTime), true
 	case "ctrlisp":
-		return CtrlISPRoofline(cfg), true
+		return ctrlISPRoofline(cfg), true
 	case "gpuresident":
-		return GPUResidentRoofline(cfg), true
+		// A single HBM-roofline update kernel, no external traffic. The
+		// system is itself analytic, so its report matches the floor.
+		a := traffic(system, cfg)
+		return Roofline{Compute: cfg.GPU.KernelTime(a.GPUOps, a.HBMBytes)}, true
 	default:
 		return Roofline{}, false
 	}
 }
 
-// OptimStoreRoofline computes the analytic bound for the in-storage system.
-func OptimStoreRoofline(cfg Config) Roofline {
+// optimStoreRoofline computes the analytic bound for the in-storage system.
+func optimStoreRoofline(cfg Config) Roofline {
 	touched := float64(cfg.TouchedUnits())
 	gradB := float64(cfg.GradBytesPerUnit())
 	woutB := float64(cfg.WeightOutBytesPerUnit())
@@ -99,114 +102,63 @@ func OptimStoreRoofline(cfg Config) Roofline {
 	return r
 }
 
-// HostOffloadRoofline computes the analytic bound for the baseline.
-func HostOffloadRoofline(cfg Config) Roofline {
+// stateRoundTrip is the bus and media floor of the baselines that move the
+// full resident state off the dies and back: every resident byte crosses
+// the channel buses both ways (half duplex: the directions sum), and each
+// page is read once and programmed once.
+func stateRoundTrip(cfg Config) (bus, media sim.Time) {
 	touched := float64(cfg.TouchedUnits())
 	residentB := float64(cfg.ResidentBytesPerUnit())
-	comps := float64(cfg.Comps())
-	planes := float64(cfg.SSD.Geometry().Planes())
-
-	var r Roofline
-	// Resident state crosses PCIe both ways (full duplex: per direction).
-	r.PCIe = cfg.Link.EffectiveGBps().TransferTimeF(touched * residentB)
-	// And the channel buses both ways (half duplex: sum).
-	bus := cfg.SSD.ChannelMBps().Bps()
-	r.Bus = bus.TransferTimeF(touched * 2 * residentB)
-	// Media: read once, program once per page.
-	perPlanePages := touched * comps / planes
-	r.Media = units.Nanos(perPlanePages *
+	bus = cfg.SSD.ChannelMBps().Bps().TransferTimeF(touched * 2 * residentB)
+	perPlanePages := touched * float64(cfg.Comps()) / float64(cfg.SSD.Geometry().Planes())
+	media = units.Nanos(perPlanePages *
 		float64(cfg.SSD.Nand.ReadLatency+cfg.SSD.Nand.ProgramLatency))
-	// GPU update kernel: the serial GPU resource must stream the state
-	// through HBM and retire the kernel FLOPs. Batch roofline times sum to
-	// at least the whole-step roofline, so this is a valid lower bound.
-	kernel := kernelFor(cfg)
-	elems := float64(cfg.ElemsPerPage())
-	gradB := float64(cfg.GradBytesPerUnit())
-	woutB := float64(cfg.WeightOutBytesPerUnit())
-	hbmBytes := touched * (2*residentB + gradB + woutB)
-	flops := touched * elems * float64(kernel.FlopsPerElem)
-	r.Compute = cfg.GPU.KernelTime(flops, hbmBytes)
-	return r
+	return bus, media
 }
 
-// InterleavedRoofline computes the analytic bound for the interleaved-
-// offloading baseline. The traffic shape is HostOffload's — resident
-// state over PCIe and the channel buses both ways, media read and
-// programmed once per page — but the update kernel runs on the host CPU,
-// whose DRAM-bandwidth roofline replaces the GPU's HBM one. The subgroup
+// offloadRoofline computes the analytic bound for the offload family: the
+// resident state crosses PCIe both ways (full duplex: per direction) on
+// top of the state round trip, and the update engine — the GPU through
+// HBM or the host CPU through DRAM, per kernelTime — must stream the
+// state and retire the kernel FLOPs. Batch roofline times sum to at least
+// the whole-step roofline, so this is a valid lower bound. The subgroup
 // depth shapes the pipeline, not the mandatory traffic, so it does not
 // appear here: any K pays the same floor.
-func InterleavedRoofline(cfg Config) Roofline {
+func offloadRoofline(cfg Config, kernelTime func(flops, bytes float64) sim.Time) Roofline {
 	touched := float64(cfg.TouchedUnits())
 	residentB := float64(cfg.ResidentBytesPerUnit())
-	comps := float64(cfg.Comps())
-	planes := float64(cfg.SSD.Geometry().Planes())
-
 	var r Roofline
-	// Resident state crosses PCIe both ways (full duplex: per direction).
 	r.PCIe = cfg.Link.EffectiveGBps().TransferTimeF(touched * residentB)
-	// And the channel buses both ways (half duplex: sum).
-	bus := cfg.SSD.ChannelMBps().Bps()
-	r.Bus = bus.TransferTimeF(touched * 2 * residentB)
-	// Media: read once, program once per page.
-	perPlanePages := touched * comps / planes
-	r.Media = units.Nanos(perPlanePages *
-		float64(cfg.SSD.Nand.ReadLatency+cfg.SSD.Nand.ProgramLatency))
-	// Host CPU update kernel: state read+written through DRAM, gradients
-	// read, weights produced, plus the kernel FLOPs.
-	kernel := kernelFor(cfg)
+	r.Bus, r.Media = stateRoundTrip(cfg)
 	elems := float64(cfg.ElemsPerPage())
 	gradB := float64(cfg.GradBytesPerUnit())
 	woutB := float64(cfg.WeightOutBytesPerUnit())
-	dramBytes := touched * (2*residentB + gradB + woutB)
-	flops := touched * elems * float64(kernel.FlopsPerElem)
-	r.Compute = cfg.HostCPU.KernelTime(flops, dramBytes)
+	updateBytes := touched * (2*residentB + gradB + woutB)
+	flops := touched * elems * float64(kernelFor(cfg).FlopsPerElem)
+	r.Compute = kernelTime(flops, updateBytes)
 	return r
 }
 
-// CtrlISPRoofline computes the analytic bound for the in-controller
+// ctrlISPRoofline computes the analytic bound for the in-controller
 // processing baseline: gradients and low-precision weights cross PCIe, the
-// full resident state crosses the channel buses both ways, the media is
-// read and programmed once per page, and the controller's embedded cores
-// run the update kernel.
-func CtrlISPRoofline(cfg Config) Roofline {
+// state round trip runs over the channel buses and media, and the
+// controller's embedded cores run the update kernel.
+func ctrlISPRoofline(cfg Config) Roofline {
 	touched := float64(cfg.TouchedUnits())
 	residentB := float64(cfg.ResidentBytesPerUnit())
 	gradB := float64(cfg.GradBytesPerUnit())
 	woutB := float64(cfg.WeightOutBytesPerUnit())
-	comps := float64(cfg.Comps())
-	planes := float64(cfg.SSD.Geometry().Planes())
-	kernel := kernelFor(cfg)
-
 	var r Roofline
 	// PCIe: gradients in, working-precision weights out.
 	ext := cfg.Link.EffectiveGBps()
 	r.PCIe = units.Nanos(maxf(touched*gradB/float64(ext), touched*woutB/float64(ext)))
-	// Channel buses: every resident page travels die→controller and back.
-	bus := cfg.SSD.ChannelMBps().Bps()
-	r.Bus = bus.TransferTimeF(touched * 2 * residentB)
-	// Media: read once, program once per page.
-	perPlanePages := touched * comps / planes
-	r.Media = units.Nanos(perPlanePages *
-		float64(cfg.SSD.Nand.ReadLatency+cfg.SSD.Nand.ProgramLatency))
+	r.Bus, r.Media = stateRoundTrip(cfg)
 	// Controller kernel: one serial engine; per-unit roofline times sum.
 	elems := float64(cfg.ElemsPerPage())
-	perUnit := cfg.CtrlCPU.KernelTime(elems*float64(kernel.FlopsPerElem),
+	perUnit := cfg.CtrlCPU.KernelTime(elems*float64(kernelFor(cfg).FlopsPerElem),
 		2*residentB+gradB+woutB)
 	r.Compute = units.Nanos(touched * float64(perUnit))
 	return r
-}
-
-// GPUResidentRoofline computes the analytic bound for the no-offload
-// reference: a single HBM-roofline update kernel, no external traffic.
-// The system is itself analytic, so its report matches the floor exactly.
-func GPUResidentRoofline(cfg Config) Roofline {
-	spec := cfg.Spec()
-	kernel := kernelFor(cfg)
-	touched := float64(cfg.Model.Params) * cfg.Model.UpdateFraction()
-	hbmBytes := touched * (2*spec.ResidentBytes() + float64(spec.GradBytes+spec.WeightOutBytes))
-	flops := touched * float64(kernel.FlopsPerElem)
-	return Roofline{Compute: cfg.GPU.KernelTime(flops, hbmBytes)}
 }
 
 func maxf(a, b float64) float64 {

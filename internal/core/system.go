@@ -17,22 +17,71 @@ type System interface {
 }
 
 // NewSystem constructs a system by name: "optimstore", "hostoffload",
-// "interleaved", "ctrlisp" or "gpuresident".
+// "interleaved", "ctrlisp" or "gpuresident". The event-driven systems run
+// on the shared pipeline harness; gpuresident is analytic.
 func NewSystem(name string, cfg Config) (System, error) {
+	var display string
+	var build func(*pipeline) stage
 	switch name {
 	case "optimstore":
-		return NewOptimStore(cfg), nil
+		display, build = name, optimStore
 	case "hostoffload":
-		return NewHostOffload(cfg), nil
+		display, build = name, offload{}.flow
 	case "interleaved":
-		return NewInterleavedOffload(cfg), nil
+		display, build = name, offload{cpu: true, stream: true, subgroups: true}.flow
 	case "ctrlisp":
-		return NewCtrlISP(cfg), nil
+		display, build = "ctrl-isp", ctrlISP
 	case "gpuresident":
-		return NewGPUResident(cfg), nil
+		return gpuResident{cfg}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown system %q", name)
 	}
+	return &eventSystem{key: name, name: display, cfg: cfg, build: build}, nil
+}
+
+// traffic is a system's mandatory full-model step traffic outside the
+// SSD: PCIe, DRAM and HBM bytes and the update-kernel ops. The reports
+// and energyFloor both read it, so the two cannot disagree.
+func traffic(system string, cfg Config) energy.Activity {
+	totalUnits := cfg.TouchedUnits()
+	gradB, woutB := cfg.GradBytesPerUnit(), cfg.WeightOutBytesPerUnit()
+	residentB := cfg.ResidentBytesPerUnit()
+	elems, flops := int64(cfg.ElemsPerPage()), int64(kernelFor(cfg).FlopsPerElem)
+	ops := float64(totalUnits) * float64(elems) * float64(flops)
+	// An off-die update reads and writes the state, reads the gradient
+	// and writes the weights.
+	update := float64((2*residentB + gradB + woutB) * totalUnits)
+	var a energy.Activity
+	switch system {
+	case "optimstore":
+		a.PCIeBytes = float64((gradB + woutB) * totalUnits)
+		a.DRAMBytes = a.PCIeBytes
+		// Every window unit runs its kernel once on its die (LAMB splits
+		// the flops over two passes), so the on-die ops scale the window's.
+		a.ODPOps = float64(cfg.SimUnits()*elems*flops) * cfg.ScaleFactor()
+	case "hostoffload":
+		a.PCIeBytes = float64(2 * residentB * totalUnits)
+		a.DRAMBytes = a.PCIeBytes // controller DRAM staging
+		a.HBMBytes = update
+		a.GPUOps = ops
+	case "interleaved":
+		a.PCIeBytes = float64(2 * residentB * totalUnits)
+		a.DRAMBytes = update // host update traffic
+		a.CPUOps = ops
+	case "ctrlisp":
+		a.PCIeBytes = float64((gradB + woutB) * totalUnits)
+		a.DRAMBytes = update
+		a.CPUOps = ops
+	case "gpuresident":
+		// The fused update kernel streams state once in, once out, reads
+		// gradients, writes working weights — over the parameters this
+		// step touches (sparse models touch a small fraction).
+		spec := cfg.Spec()
+		touched := float64(cfg.Model.Params) * cfg.Model.UpdateFraction()
+		a.HBMBytes = touched * (2*spec.ResidentBytes() + float64(spec.GradBytes+spec.WeightOutBytes))
+		a.GPUOps = touched * float64(flops)
+	}
+	return a
 }
 
 // SystemNames lists the systems in presentation order.
@@ -140,32 +189,6 @@ func gradSchedule(cfg Config, nChunks int64) []sim.Time {
 		avail[k] = units.Nanos(t)
 	}
 	return avail
-}
-
-// scheduleGradArrivals posts the backward pass's gradient-chunk arrivals
-// in one ScheduleBatch call: chunk k becomes available at avail[k],
-// crosses PCIe, and resolves the returned future. The fan-out is the
-// largest single burst of same-time scheduling in a run (hundreds of
-// chunks at paper scale), exactly the storm the engine's batch path
-// amortizes into a single heapify.
-func scheduleGradArrivals(eng *sim.Engine, toDevice func(int64, func()), avail []sim.Time, simUnits, unitsPerChunk, gradB int64) []*future {
-	nChunks := int64(len(avail))
-	arrived := make([]*future, nChunks)
-	items := make([]sim.Timed, nChunks)
-	for k := int64(0); k < nChunks; k++ {
-		f := &future{}
-		arrived[k] = f
-		chunkUnits := unitsPerChunk
-		if k == nChunks-1 {
-			chunkUnits = simUnits - k*unitsPerChunk
-		}
-		bytes := chunkUnits * gradB
-		items[k] = sim.Timed{Delay: avail[k], Fn: func() {
-			toDevice(bytes, span(eng, "grad-transfer", f.resolve))
-		}}
-	}
-	eng.ScheduleBatch(items)
-	return arrived
 }
 
 // endToEnd fills the end-to-end fields of a report: forward+backward

@@ -24,7 +24,7 @@ func tracedRun(t *testing.T, name string, cfg Config) (*Report, *tracing.Trace) 
 // an untraced run does — same event count, same simulated time, same
 // utilizations.
 func TestTracedRunMatchesUntraced(t *testing.T) {
-	for _, name := range []string{"optimstore", "hostoffload", "ctrlisp"} {
+	for _, name := range []string{"optimstore", "hostoffload", "interleaved", "ctrlisp"} {
 		plain := mustRun(t, name, testConfig(dnn.BERTLarge()))
 		traced, tr := tracedRun(t, name, testConfig(dnn.BERTLarge()))
 		if tr.Len() == 0 {
@@ -77,18 +77,20 @@ func TestOptimStoreLambReduceSpans(t *testing.T) {
 }
 
 func TestHostOffloadAndCtrlISPPhaseSpans(t *testing.T) {
-	_, tr := tracedRun(t, "hostoffload", testConfig(dnn.BERTLarge()))
-	names := phaseNames(tr)
-	for _, want := range []string{"read", "gpu-batch", "writeback"} {
-		if names[want] == 0 {
-			t.Errorf("hostoffload: no %q phase spans (got %v)", want, names)
-		}
-	}
-	_, tr = tracedRun(t, "ctrlisp", testConfig(dnn.BERTLarge()))
-	names = phaseNames(tr)
-	for _, want := range []string{"grad-transfer", "read-pull", "ctrl-kernel", "program-push"} {
-		if names[want] == 0 {
-			t.Errorf("ctrl-isp: no %q phase spans (got %v)", want, names)
+	for _, c := range []struct {
+		name  string
+		wants []string
+	}{
+		{"hostoffload", []string{"read", "gpu-batch", "writeback"}},
+		{"interleaved", []string{"prefetch", "cpu-batch", "writeback"}},
+		{"ctrlisp", []string{"grad-transfer", "read-pull", "ctrl-kernel", "program-push"}},
+	} {
+		_, tr := tracedRun(t, c.name, testConfig(dnn.BERTLarge()))
+		names := phaseNames(tr)
+		for _, want := range c.wants {
+			if names[want] == 0 {
+				t.Errorf("%s: no %q phase spans (got %v)", c.name, want, names)
+			}
 		}
 	}
 }

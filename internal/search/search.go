@@ -66,20 +66,6 @@ func DefaultSpace() Space {
 	}
 }
 
-// Size returns the number of grid points before validation.
-func (s Space) Size() int {
-	n := 1
-	for _, l := range []int{
-		len(s.Channels), len(s.DiesPerChannel), len(s.PlanesPerDie), len(s.BusMBps),
-		len(s.OverProvision), len(s.Layouts), len(s.Optimizers), len(s.Retire),
-	} {
-		if l > 0 {
-			n *= l
-		}
-	}
-	return n
-}
-
 // Options tunes a search run.
 type Options struct {
 	// System is the engine to tune; default "optimstore".
