@@ -27,6 +27,7 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/plot"
 	"repro/internal/report"
+	"repro/internal/runner"
 	"repro/internal/tracing"
 )
 
@@ -44,8 +45,22 @@ func main() {
 		faultArg = flag.String("fault", "", "arm a fault storm on every simulated point: seed=N,pl=R,df=R,ecc=R,start=MS,horizon=MS (rates per second of sim time; empty = disabled)")
 		ckptArg  = flag.String("checkpoint", "none", "checkpoint policy priced into every report: none, inplace (ODP copyback) or hostpull")
 		system   = flag.String("system", "", "run a single system (gpuresident, hostoffload, interleaved, ctrlisp, optimstore) on the GPT-13B default configuration, audit it against the invariant registry and print its report; exits 1 on any violation")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memProf  = flag.String("memprofile", "", "write a heap profile (in-use and allocated bytes) to this file when the run ends")
 	)
 	flag.Parse()
+
+	stopProfiles, err := runner.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "optimstore:", err)
+		os.Exit(2)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "optimstore:", err)
+			os.Exit(1)
+		}
+	}()
 
 	faultSpec, err := fault.ParseSpec(*faultArg)
 	if err != nil {

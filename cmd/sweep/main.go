@@ -56,8 +56,20 @@ func main() {
 		ckptArg  = flag.String("checkpoint", "none", "checkpoint policy priced into every point: none, inplace (ODP copyback) or hostpull")
 		doSearch = flag.Bool("search", false, "run the design-space autotuner over the default grid instead of a one-dimensional sweep; frontier CSV to stdout, summary to stderr")
 		budget   = flag.Int("budget", 64, "simulation budget for -search")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memProf  = flag.String("memprofile", "", "write a heap profile (in-use and allocated bytes) to this file when the run ends")
 	)
 	flag.Parse()
+
+	stopProfiles, err := runner.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fail(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fail(err)
+		}
+	}()
 
 	m, err := dnn.ByName(*model)
 	if err != nil {

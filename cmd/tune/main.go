@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dnn"
+	"repro/internal/runner"
 	"repro/internal/search"
 )
 
@@ -35,8 +36,20 @@ func main() {
 		wafSteps = flag.Int("wafsteps", 3, "steady-state WAF measurement sweeps per over-provisioning value")
 		parallel = flag.Int("parallel", runtime.NumCPU(), "worker goroutines per simulation wave (1 = sequential)")
 		csvOut   = flag.String("csv", "", "also write the frontier CSV to this file")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memProf  = flag.String("memprofile", "", "write a heap profile (in-use and allocated bytes) to this file when the run ends")
 	)
 	flag.Parse()
+
+	stopProfiles, err := runner.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fail(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fail(err)
+		}
+	}()
 
 	m, err := dnn.ByName(*model)
 	if err != nil {

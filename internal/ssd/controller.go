@@ -77,6 +77,9 @@ type Device struct {
 	outstanding  int
 	drainWaiters []func()
 
+	// freeOps recycles the records of finished I/O operations (see pageOp).
+	freeOps []*pageOp
+
 	hostReads, hostWrites     uint64
 	updateReads, updateWrites uint64
 	gcRelocations, gcErases   uint64
@@ -271,90 +274,28 @@ func (d *Device) drainPending(plane int) {
 }
 
 // Read performs an external page read of lpa: NVMe command overhead, array
-// read, channel-bus transfer out. Reading an unmapped page panics (the
-// harness always writes before reading).
+// read, channel-bus transfer out. Cache-resident dirty data is served from
+// DRAM instead — the freshest copy is not on NAND yet. Reading an unmapped
+// page panics (the harness always writes before reading).
 func (d *Device) Read(lpa int64, done func()) {
 	d.opStart()
-	d.eng.Schedule(d.cfg.CmdLatency, func() {
-		// Cache-resident dirty data is served from DRAM — the freshest copy
-		// is not on NAND yet.
-		if d.dirty[lpa] > 0 {
-			d.eng.Schedule(d.cfg.DRAMPageLatency, func() {
-				d.cacheHits++
-				d.hostReads++
-				d.opDone()
-				if done != nil {
-					done()
-				}
-			})
-			return
-		}
-		ppa, ok := d.ftl.Lookup(lpa)
-		if !ok {
-			panic(fmt.Sprintf("ssd: read of unmapped lpa %d", lpa))
-		}
-		d.arrayReadRecovered(lpa, ppa, func() {
-			d.channels[ppa.Channel].TransferOut(ppa.Die, d.geo.PageSize, func() {
-				d.hostReads++
-				d.opDone()
-				if done != nil {
-					done()
-				}
-			})
-		})
-	})
+	op := d.getOp(opHostRead, lpa, done)
+	d.eng.Schedule(d.cfg.CmdLatency, op.at(stageCommand))
 }
 
 // Write performs an external page write of lpa through the DRAM cache:
 // done fires when the page is absorbed in DRAM (host completion); the
 // NAND program continues in the background with backpressure via the
-// cache slot pool.
-func (d *Device) Write(lpa int64, done func()) {
-	d.opStart()
-	d.eng.Schedule(d.cfg.CmdLatency, func() {
-		d.cacheSlots.Acquire(func(release func()) {
-			d.eng.Schedule(d.cfg.DRAMPageLatency, func() {
-				d.dirty[lpa]++
-				if done != nil {
-					done()
-				}
-				plane := d.planeFor(lpa)
-				d.whenWritable(plane, func() { d.flush(lpa, plane, release) })
-			})
-		})
-	})
-}
-
-// flush moves one cached page to NAND: bus transfer to the die, then
+// cache slot pool. The flush to NAND is a bus transfer to the die, then
 // allocate-and-program (adjacent, to keep plane write pointers coherent).
 // The mapping commits at program COMPLETION, not issue: a crash while the
 // program is in flight leaves the prior mapping intact and the partially
 // programmed page as unmapped garbage (torn-write semantics — the RAM L2P
 // is exactly the durable map).
-func (d *Device) flush(lpa int64, plane int, release func()) {
-	ch, die, _ := d.geo.PlaneLoc(plane)
-	chan_ := d.channels[ch]
-	chan_.TransferIn(die, d.geo.PageSize, func() {
-		ppa := d.ftl.AllocPage(plane)
-		d.planeInflight[plane]--
-		d.ftl.BeginProgram(ppa)
-		chan_.Die(die).Program(ppa.Addr, func() {
-			d.ftl.EndProgram(ppa)
-			// Commit before clearing dirty so a read never sees a window
-			// where the page is neither cached nor mapped.
-			d.commit(lpa, ppa, false)
-			d.hostWrites++
-			if d.dirty[lpa] > 1 {
-				d.dirty[lpa]--
-			} else {
-				delete(d.dirty, lpa)
-			}
-			d.boundary(BoundaryHostWrite, lpa)
-			release()
-			d.maybeGC(plane)
-			d.opDone()
-		})
-	})
+func (d *Device) Write(lpa int64, done func()) {
+	d.opStart()
+	op := d.getOp(opHostWrite, lpa, done)
+	d.eng.Schedule(d.cfg.CmdLatency, op.at(stageCommand))
 }
 
 // Trim invalidates a logical page.
@@ -375,12 +316,9 @@ func (d *Device) ReadMapped(lpa int64, done func()) {
 	}
 	d.opStart()
 	d.updateReads++
-	d.arrayReadRecovered(lpa, ppa, func() {
-		d.opDone()
-		if done != nil {
-			done()
-		}
-	})
+	op := d.getOp(opInternalRead, lpa, done)
+	op.ppa = ppa
+	d.readArray(op)
 }
 
 // InjectReadErrors arranges for the next n reads of lpa to come back
@@ -396,32 +334,6 @@ func (d *Device) InjectReadErrors(lpa int64, n int) {
 // readRetryFactor is the array-time multiple one read-retry recovery pass
 // costs (threshold-shifted re-reads until ECC converges).
 const readRetryFactor = 3
-
-// arrayReadRecovered performs the array read of lpa's page, transparently
-// absorbing injected uncorrectable errors with read-retry: each pending
-// error costs an extra readRetryFactor × tR of plane time.
-func (d *Device) arrayReadRecovered(lpa int64, ppa PPA, done func()) {
-	d.arrayReadRetried(lpa, ppa, 0, done)
-}
-
-func (d *Device) arrayReadRetried(lpa int64, ppa PPA, retries int, done func()) {
-	die := d.Die(ppa.Channel, ppa.Die)
-	die.Read(ppa.Addr, func() {
-		if d.injectedReadErrs[lpa] > 0 {
-			d.injectedReadErrs[lpa]--
-			d.recoveredErrors++
-			retry := readRetryFactor * d.cfg.Nand.ReadLatency
-			// Occupy the plane for the recovery passes, then re-check (in
-			// case more errors were injected).
-			die.Occupy(ppa.Addr, retry, func() {
-				d.arrayReadRetried(lpa, ppa, retries+1, done)
-			})
-			return
-		}
-		d.onReadDone(ppa, retries)
-		done()
-	})
-}
 
 // onReadDone feeds the block-retirement tracker after a read converges,
 // retiring the block when its cumulative retry budget is exhausted. Nil
@@ -439,54 +351,30 @@ func (d *Device) onReadDone(ppa PPA, retries int) {
 
 // ProgramUpdate programs updated data for lpa into a fresh page in the
 // same plane as its current mapping (array program only — the data comes
-// from the on-die compute unit's buffer) and remaps the page. The old page
-// becomes garbage for GC to reclaim.
+// from the on-die compute unit's buffer) and remaps the page at program
+// completion, like Write's flush. The old page becomes garbage for GC to
+// reclaim.
 func (d *Device) ProgramUpdate(lpa int64, done func()) {
 	old, ok := d.ftl.Lookup(lpa)
 	if !ok {
 		panic(fmt.Sprintf("ssd: update of unmapped lpa %d", lpa))
 	}
-	plane := d.geo.PlaneOf(old)
+	op := d.getOp(opUpdate, lpa, done)
+	op.plane = d.geo.PlaneOf(old)
 	d.opStart()
-	d.whenWritable(plane, func() {
-		ppa := d.ftl.AllocPage(plane)
-		d.planeInflight[plane]--
-		d.ftl.BeginProgram(ppa)
-		d.Die(ppa.Channel, ppa.Die).Program(ppa.Addr, func() {
-			// Commit at completion — see flush for the torn-write contract.
-			d.ftl.EndProgram(ppa)
-			d.commit(lpa, ppa, false)
-			d.updateWrites++
-			d.boundary(BoundaryUpdate, lpa)
-			d.maybeGC(plane)
-			d.opDone()
-			if done != nil {
-				done()
-			}
-		})
-	})
+	d.whenWritable(op.plane, op.at(stageProgram))
 }
 
 // TransferToDie models moving n bytes from the controller to a die's
 // compute buffer over the channel bus (gradient delivery).
 func (d *Device) TransferToDie(ch, die, n int, done func()) {
 	d.opStart()
-	d.channels[ch].TransferIn(die, n, func() {
-		d.opDone()
-		if done != nil {
-			done()
-		}
-	})
+	d.channels[ch].TransferIn(die, n, d.getOp(opTransfer, -1, done).at(stageTransferred))
 }
 
 // TransferFromDie models moving n bytes from a die's compute buffer to the
 // controller over the channel bus (low-precision weights out).
 func (d *Device) TransferFromDie(ch, die, n int, done func()) {
 	d.opStart()
-	d.channels[ch].TransferOut(die, n, func() {
-		d.opDone()
-		if done != nil {
-			done()
-		}
-	})
+	d.channels[ch].TransferOut(die, n, d.getOp(opTransfer, -1, done).at(stageTransferred))
 }

@@ -488,3 +488,32 @@ func TestReadAfterWriteHitsCache(t *testing.T) {
 		t.Fatal("unexpected extra cache hit")
 	}
 }
+
+// TestReadMappedAllocatesNothing pins the pooled internal read path: once
+// the device's operation freelist and the kernel's event and request
+// pools are warm, a ReadMapped → completion cycle performs no heap
+// allocation. (The closure-per-step path allocated two closures per read.)
+func TestReadMappedAllocatesNothing(t *testing.T) {
+	e := sim.NewEngine()
+	d := NewDevice(e, smallConfig())
+	for lpa := int64(0); lpa < 8; lpa++ {
+		d.Preload(lpa)
+	}
+	reads := 0
+	done := func() { reads++ }
+	for i := 0; i < 64; i++ { // warm the freelists and queues
+		d.ReadMapped(int64(i%8), done)
+	}
+	e.Run()
+	per := testing.AllocsPerRun(1000, func() {
+		d.ReadMapped(3, done)
+		e.Run()
+	})
+	//simlint:allow floateq AllocsPerRun returns a whole count; the pin is exactly zero
+	if per != 0 {
+		t.Fatalf("ReadMapped+Run allocates %v, want 0 (pooled operation records)", per)
+	}
+	if reads != 64+1001 {
+		t.Fatalf("%d reads completed, want %d", reads, 64+1001)
+	}
+}

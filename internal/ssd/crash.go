@@ -108,12 +108,9 @@ func (d *Device) ScrubRead(lpa int64, done func()) {
 	}
 	d.opStart()
 	d.scrubReads++
-	d.arrayReadRecovered(lpa, ppa, func() {
-		d.opDone()
-		if done != nil {
-			done()
-		}
-	})
+	op := d.getOp(opInternalRead, lpa, done)
+	op.ppa = ppa
+	d.readArray(op)
 }
 
 // retireBlock takes a worn-out block out of service: relocate its valid

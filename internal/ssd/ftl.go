@@ -6,70 +6,127 @@ import (
 
 const unmapped = int64(-1)
 
-// pageMap chunk geometry: entries are materialized in chunks of 2^15
-// int64s (256 KiB) the first time any entry in the chunk is written.
-const (
-	pageMapChunkBits = 15
-	pageMapChunkSize = 1 << pageMapChunkBits
-	pageMapChunkMask = pageMapChunkSize - 1
-)
+// Both translation maps store entries as uint32 biased by +1, so a zero
+// entry — the state make leaves behind — already means unmapped and no
+// -1 fill pass is needed. The bias caps a device (and its logical space)
+// at 2^32-2 pages, checked at build.
 
-// pageMap is a sparse array of page numbers defaulting to unmapped. A
-// freshly built device maps nothing, and paper-scale sweeps touch only
-// the working set of each job, so materializing translation tables
-// on demand (nil chunk ⇒ every entry unmapped) removes the dominant
-// cost of device construction: eagerly allocating and -1-filling
-// whole-device l2p/p2l arrays was ~90% of a 32-job sweep's wall time.
-//
-// Entries are stored as uint32 biased by +1 so the zero value of a
-// fresh chunk already means unmapped — make's zeroing (free for freshly
-// mapped OS pages) replaces an explicit -1 fill loop that showed up as
-// ~25% of sweep time for write-heavy jobs, and 4-byte entries halve the
-// chunk-zeroing bandwidth of the original int64 tables. The bias caps a
-// device (or its logical space) at 2^32-2 pages, checked at build.
-type pageMap struct {
-	chunks [][]uint32
+// l2pMap is the forward map, logical page → linear PPA: a dense slice
+// grown on demand to the highest logical page written. The layout places
+// a run's window at logical pages 0..N-1, so the map is the size of the
+// window, not of the device.
+type l2pMap struct {
+	v     []uint32
+	limit int64 // logical capacity: growth never exceeds it
 }
 
-func newPageMap(n int64) pageMap {
-	if n >= 1<<32-1 {
-		panic(fmt.Sprintf("ssd: page map over %d pages exceeds uint32 encoding", n))
-	}
-	return pageMap{chunks: make([][]uint32, (n+pageMapChunkSize-1)>>pageMapChunkBits)}
-}
-
-func (m *pageMap) get(i int64) int64 {
-	c := m.chunks[i>>pageMapChunkBits]
-	if c == nil {
+func (m *l2pMap) get(lpa int64) int64 {
+	if lpa >= int64(len(m.v)) {
 		return unmapped
 	}
-	return int64(c[i&pageMapChunkMask]) - 1
+	return int64(m.v[lpa]) - 1
 }
 
-func (m *pageMap) set(i, v int64) {
-	ci := i >> pageMapChunkBits
-	c := m.chunks[ci]
-	if c == nil {
-		if v == unmapped {
+func (m *l2pMap) set(lpa, lin int64) {
+	if lpa >= int64(len(m.v)) {
+		if lin == unmapped {
 			return
 		}
-		c = make([]uint32, pageMapChunkSize)
-		m.chunks[ci] = c
+		m.v = extend(m.v, lpa+1, m.limit)
 	}
-	c[i&pageMapChunkMask] = uint32(v + 1)
+	m.v[lpa] = uint32(lin + 1)
 }
 
-// forEach visits every mapped entry in index order, skipping
-// unmaterialized chunks wholesale.
-func (m *pageMap) forEach(fn func(i, v int64)) {
-	for ci, c := range m.chunks {
-		if c == nil {
-			continue
+// extend lengthens s to n entries. Full storage doubles (capped at limit
+// entries), so a sequential fill copies each entry O(1) times. Neither map
+// ever shrinks, so entries past len were never written and are still zero.
+func extend(s []uint32, n, limit int64) []uint32 {
+	if n > int64(cap(s)) {
+		grown := make([]uint32, len(s), min(max(2*int64(cap(s)), n), limit))
+		copy(grown, s)
+		s = grown
+	}
+	return s[:n]
+}
+
+// forEach visits every mapped entry in logical page order.
+func (m *l2pMap) forEach(fn func(lpa, lin int64)) {
+	for i, v := range m.v {
+		if v != 0 {
+			fn(int64(i), int64(v)-1)
 		}
-		base := int64(ci) << pageMapChunkBits
-		for j, v := range c {
+	}
+}
+
+// p2lMap is the reverse map, linear PPA → logical page, kept per block as
+// a real FTL keeps it out-of-band. A block's PagesPerBlock entries are
+// carved from one shared arena the first time a page in it is mapped and
+// stay attached to the block for the device's life: erase and retirement
+// clear them in place, and the block reuses them when it reopens. The
+// layout is pointer-free (one arena plus an int32 slot per block) so the
+// garbage collector never scans it.
+type p2lMap struct {
+	ppb   int64
+	slot  []int32 // per global block: 1 + arena slot, or 0 before first use
+	arena []uint32
+}
+
+func newP2LMap(blocks, pagesPerBlock int) p2lMap {
+	return p2lMap{ppb: int64(pagesPerBlock), slot: make([]int32, blocks)}
+}
+
+// entries returns block b's entries, or nil when the block was never
+// mapped (every entry unmapped).
+func (m *p2lMap) entries(b int) []uint32 {
+	s := int64(m.slot[b])
+	if s == 0 {
+		return nil
+	}
+	off := (s - 1) * m.ppb
+	return m.arena[off : off+m.ppb : off+m.ppb]
+}
+
+func (m *p2lMap) get(lin int64) int64 {
+	e := m.entries(int(lin / m.ppb))
+	if e == nil {
+		return unmapped
+	}
+	return int64(e[lin%m.ppb]) - 1
+}
+
+func (m *p2lMap) set(lin, lpa int64) {
+	b := int(lin / m.ppb)
+	e := m.entries(b)
+	if e == nil {
+		if lpa == unmapped {
+			return
+		}
+		e = m.attach(b)
+	}
+	e[lin%m.ppb] = uint32(lpa + 1)
+}
+
+// attach gives block b its own zeroed run of entries at the arena's end.
+func (m *p2lMap) attach(b int) []uint32 {
+	off := int64(len(m.arena))
+	m.arena = extend(m.arena, off+m.ppb, int64(len(m.slot))*m.ppb)
+	m.slot[b] = int32(off/m.ppb) + 1
+	return m.arena[off : off+m.ppb : off+m.ppb]
+}
+
+// clearBlock unmaps every page of block b (erase, retirement).
+func (m *p2lMap) clearBlock(b int) {
+	clear(m.entries(b))
+}
+
+// forEach visits every mapped entry in linear PPA order: blocks in index
+// order, pages in order within each block.
+func (m *p2lMap) forEach(fn func(lin, lpa int64)) {
+	for b := range m.slot {
+		base := int64(b) * m.ppb
+		for p, v := range m.entries(b) {
 			if v != 0 {
-				fn(base+int64(j), int64(v)-1)
+				fn(base+int64(p), int64(v)-1)
 			}
 		}
 	}
@@ -84,8 +141,8 @@ type FTL struct {
 	geo          Geometry
 	logicalPages int64
 
-	l2p        pageMap // logical page -> linear PPA, or unmapped
-	p2l        pageMap // linear PPA -> logical page, or unmapped (free/stale)
+	l2p        l2pMap  // logical page -> linear PPA, or unmapped
+	p2l        p2lMap  // linear PPA -> logical page, or unmapped (free/stale)
 	validCount []int32 // valid pages per global block
 	erases     []int32 // P/E cycles per global block (FTL's own tally)
 
@@ -135,11 +192,14 @@ func NewFTL(geo Geometry, logicalPages int64) *FTL {
 	if logicalPages <= 0 || logicalPages > total {
 		panic(fmt.Sprintf("ssd: logical pages %d vs physical %d", logicalPages, total))
 	}
+	if total >= 1<<32-1 {
+		panic(fmt.Sprintf("ssd: %d pages exceed the uint32 map encoding", total))
+	}
 	f := &FTL{
 		geo:           geo,
 		logicalPages:  logicalPages,
-		l2p:           newPageMap(logicalPages),
-		p2l:           newPageMap(total),
+		l2p:           l2pMap{limit: logicalPages},
+		p2l:           newP2LMap(geo.BlocksTotal(), geo.PagesPerBlock),
 		validCount:    make([]int32, geo.BlocksTotal()),
 		erases:        make([]int32, geo.BlocksTotal()),
 		inflight:      make([]int32, geo.BlocksTotal()),
@@ -373,10 +433,7 @@ func (f *FTL) RetireBlock(planeIdx, block int) {
 		panic(fmt.Sprintf("ssd: retiring block %d/%d with in-flight programs", planeIdx, block))
 	}
 	// Drop stale reverse mappings so the retired block holds nothing.
-	start := int64(g) * int64(f.geo.PagesPerBlock)
-	for p := 0; p < f.geo.PagesPerBlock; p++ {
-		f.p2l.set(start+int64(p), unmapped)
-	}
+	f.p2l.clearBlock(g)
 	f.retired[g] = true
 	f.retiredCount++
 }
@@ -457,12 +514,10 @@ func (f *FTL) restoreMapping(lpa int64, ppa PPA) {
 // ValidLPAs returns the logical pages still valid in a plane's block, in
 // physical page order — the relocation work list for GC.
 func (f *FTL) ValidLPAs(planeIdx, block int) []int64 {
-	blockGlobal := planeIdx*f.geo.BlocksPerPlane + block
-	start := int64(blockGlobal) * int64(f.geo.PagesPerBlock)
 	var lpas []int64
-	for p := 0; p < f.geo.PagesPerBlock; p++ {
-		if lpa := f.p2l.get(start + int64(p)); lpa != unmapped {
-			lpas = append(lpas, lpa)
+	for _, v := range f.p2l.entries(planeIdx*f.geo.BlocksPerPlane + block) {
+		if v != 0 {
+			lpas = append(lpas, int64(v)-1)
 		}
 	}
 	return lpas
@@ -484,10 +539,7 @@ func (f *FTL) OnErased(planeIdx, block int) {
 	}
 	// Drop stale reverse mappings for the erased block.
 	blockGlobal := planeIdx*f.geo.BlocksPerPlane + block
-	start := int64(blockGlobal) * int64(f.geo.PagesPerBlock)
-	for p := 0; p < f.geo.PagesPerBlock; p++ {
-		f.p2l.set(start+int64(p), unmapped)
-	}
+	f.p2l.clearBlock(blockGlobal)
 	f.erases[blockGlobal]++
 	f.planes[planeIdx].free = append(f.planes[planeIdx].free, int32(block))
 }
