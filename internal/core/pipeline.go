@@ -17,7 +17,8 @@ import (
 // draining the device, disarming faults and stamping the end time; and
 // assembling the report from the device and link counters. A system
 // contributes only a stage (its admission cap, per-unit dataflow, bytes
-// returned per unit and compute utilisation) and its traffic entry.
+// returned per unit and compute utilisation) and its traffic entry. Each
+// admitted unit runs on a pooled unit record.
 type pipeline struct {
 	cfg  Config
 	eng  *sim.Engine
@@ -33,6 +34,7 @@ type pipeline struct {
 
 	stage
 	done            func() // p.unitDone, bound once so admission allocates nothing
+	freeUnits       *unit
 	next, completed int64
 	endTime         sim.Time
 	finished        bool
@@ -42,8 +44,9 @@ type pipeline struct {
 type stage struct {
 	// inflightCap bounds the units admitted but not yet complete.
 	inflightCap int64
-	// start issues unit u's dataflow; done must run once it completes.
-	start func(u int64, done func())
+	// flow drives each admitted unit's record; the unit's finish must run
+	// once its dataflow completes.
+	flow dataflow
 	// outBytes is what each completed unit returns to the host.
 	outBytes int64
 	// fill records the system's compute utilisation on the report.
@@ -121,9 +124,9 @@ func newPipeline(cfg Config) (*pipeline, error) {
 // launch admits units while the in-flight window has room.
 func (p *pipeline) launch() {
 	for p.next < p.simUnits && p.next-p.completed < p.inflightCap {
-		u := p.next
+		u := p.getUnit(p.next, p.done)
 		p.next++
-		p.start(u, p.done)
+		p.flow.begin(u)
 	}
 }
 
@@ -137,6 +140,169 @@ func (p *pipeline) unitDone() {
 		p.out.close()
 	}
 	p.launch()
+}
+
+// step names what a unit record runs next. Each system numbers its own
+// steps; the record only carries them.
+type step uint8
+
+// dataflow is one system's per-unit dataflow, written as a step switch
+// over pooled unit records instead of a closure per phase.
+type dataflow interface {
+	// begin issues a newly admitted unit's first phase.
+	begin(u *unit)
+	// unitStep runs step s of u: a unit-level callback fired, a join
+	// completed or a fan-out over the components completed.
+	unitStep(u *unit, s step)
+	// compStep runs the pending step of one component's chain.
+	compStep(c *comp)
+}
+
+// unit is the record of one in-flight update unit. Its callbacks are
+// method values bound once when the record is created: next fires the
+// unit-level step in step, and each component slot has its own next for
+// its own chain, so the phases of a unit (a join of concurrent branches,
+// then a fan-out over its components, then single transfers) allocate
+// nothing. Records recycle through the pipeline's freelist; at most
+// inflightCap are live.
+//
+//simlint:pooled
+type unit struct {
+	p        *pipeline
+	id       int64
+	done     func()
+	join     int      // branches of the current join still outstanding
+	pending  int      // component chains of the current fan-out still outstanding
+	spanAt   sim.Time // start of the current phase span
+	step     step     // the step next runs
+	after    step     // the step that runs when the fan-out completes
+	next     func()
+	comps    []comp
+	nextFree *unit
+}
+
+// comp is a unit record's slot for one resident component page: its
+// logical page, the channel and die its plane sits on, and the step its
+// chain runs next.
+type comp struct {
+	u       *unit
+	lpa     int64
+	ch, die int
+	step    step
+	next    func()
+}
+
+// getUnit takes a record from the freelist (allocating one while the
+// freelist warms up) and places unit id's components.
+//
+//simlint:hotpath
+func (p *pipeline) getUnit(id int64, done func()) *unit {
+	u := p.freeUnits
+	if u != nil {
+		p.freeUnits = u.nextFree
+	} else {
+		//simlint:allow hotalloc pool growth: one-time allocation while the freelist warms up
+		u = &unit{p: p, comps: make([]comp, p.comps)}
+		u.next = u.fire
+		for i := range u.comps {
+			c := &u.comps[i]
+			c.u = u
+			c.next = c.fire
+		}
+	}
+	u.id = id
+	u.done = done
+	for i := range u.comps {
+		c := &u.comps[i]
+		c.lpa = p.lay.LPA(id, i)
+		c.ch, c.die, _ = p.geo.PlaneLoc(p.lay.PlaneIdx(id, i))
+	}
+	return u
+}
+
+// putUnit returns a finished record to the freelist, dropping the
+// caller's callback so the pool never pins it.
+//
+//simlint:hotpath
+//simlint:release
+func (p *pipeline) putUnit(u *unit) {
+	u.done = nil
+	u.nextFree = p.freeUnits
+	p.freeUnits = u
+}
+
+// at sets the unit-level step and returns the record's callback.
+//
+//simlint:hotpath
+func (u *unit) at(s step) func() {
+	u.step = s
+	return u.next
+}
+
+// at sets the component's step and returns its callback.
+//
+//simlint:hotpath
+func (c *comp) at(s step) func() {
+	c.step = s
+	return c.next
+}
+
+func (u *unit) fire() { u.p.flow.unitStep(u, u.step) }
+
+func (c *comp) fire() { c.u.p.flow.compStep(c) }
+
+// home is the component on the die the unit's kernel runs on.
+func (u *unit) home() *comp { return &u.comps[0] }
+
+// local reports whether the component sits on the unit's home die.
+func (c *comp) local() bool {
+	h := c.u.home()
+	return c.ch == h.ch && c.die == h.die
+}
+
+// beginSpan starts a phase span now.
+func (u *unit) beginSpan() { u.spanAt = u.p.eng.Now() }
+
+// endSpan records the phase span begun at spanAt, when tracing. Call it
+// first in the step that ends the phase, so the span is emitted before
+// anything the next phase does.
+func (u *unit) endSpan(name string) {
+	if tr := u.p.eng.Tracer(); tr != nil {
+		tr.Span(phaseTrack, name, u.spanAt, u.p.eng.Now())
+	}
+}
+
+// fanOut opens a phase span over every component; step after runs once
+// each component's chain has called compDone.
+func (u *unit) fanOut(after step) {
+	u.beginSpan()
+	u.pending = len(u.comps)
+	u.after = after
+}
+
+// compDone retires one component chain of the current fan-out.
+func (u *unit) compDone() {
+	u.pending--
+	if u.pending == 0 {
+		u.p.flow.unitStep(u, u.after)
+	}
+}
+
+// joined retires one branch of the current join; step then runs once
+// every branch has.
+func (u *unit) joined(then step) {
+	u.join--
+	if u.join == 0 {
+		u.p.flow.unitStep(u, then)
+	}
+}
+
+// finish retires the unit: the record returns to the pool, then the
+// caller's done runs (and may admit a unit onto the same record).
+func (u *unit) finish() {
+	done := u.done
+	u.p.putUnit(u)
+	done()
 }
 
 // planeDepth is the admission window that keeps every plane's read/

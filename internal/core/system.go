@@ -24,13 +24,13 @@ func NewSystem(name string, cfg Config) (System, error) {
 	var build func(*pipeline) stage
 	switch name {
 	case "optimstore":
-		display, build = name, optimStore
+		display, build = name, newOptimStore
 	case "hostoffload":
 		display, build = name, offload{}.flow
 	case "interleaved":
 		display, build = name, offload{cpu: true, stream: true, subgroups: true}.flow
 	case "ctrlisp":
-		display, build = "ctrl-isp", ctrlISP
+		display, build = "ctrl-isp", newCtrlISP
 	case "gpuresident":
 		return gpuResident{cfg}, nil
 	default:

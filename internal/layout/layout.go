@@ -96,6 +96,7 @@ func (l *Layout) LogicalPages() int64 { return l.units * int64(l.comps) }
 // physical placement.
 func (l *Layout) LPA(unit int64, comp int) int64 {
 	if unit < 0 || unit >= l.units || comp < 0 || comp >= l.comps {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a caller bug
 		panic(fmt.Sprintf("layout: LPA(%d, %d) outside %d×%d", unit, comp, l.units, l.comps))
 	}
 	return unit*int64(l.comps) + int64(comp)

@@ -24,14 +24,18 @@ func Example() {
 	// transfer B done at 200ns
 }
 
-// ExampleChain sequences dependent asynchronous stages — the idiom every
-// multi-phase NAND operation uses.
-func ExampleChain() {
+// ExampleResource_Use sequences a multi-phase NAND write: each phase
+// holds its resource for a duration, and its completion callback issues
+// the next phase.
+func ExampleResource_Use() {
 	eng := sim.NewEngine()
-	sim.Chain(func() { fmt.Println("write complete at", eng.Now()) },
-		func(next func()) { eng.Schedule(10, next) },  // bus transfer
-		func(next func()) { eng.Schedule(300, next) }, // program
-	)
+	bus := sim.NewResource(eng, "bus", 1)
+	plane := sim.NewResource(eng, "plane", 1)
+	bus.Use(10, func() { // transfer the page in
+		plane.Use(300, func() { // program it
+			fmt.Println("write complete at", eng.Now())
+		})
+	})
 	eng.Run()
 	// Output:
 	// write complete at 310ns

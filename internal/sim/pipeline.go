@@ -60,27 +60,9 @@ func (c *Counter) Arm() {
 	}
 }
 
-// Stage is one step of a Chain: it performs asynchronous work and invokes
-// next exactly once when finished.
+// Stage is one branch of a ForkJoin: it performs asynchronous work and
+// invokes next exactly once when finished.
 type Stage func(next func())
-
-// Chain runs stages strictly in order, each starting when its predecessor
-// signals completion, then calls done (which may be nil). It is the
-// sequencing primitive used for multi-phase NAND operations
-// (bus-transfer → program → status).
-func Chain(done func(), stages ...Stage) {
-	var run func(i int)
-	run = func(i int) {
-		if i >= len(stages) {
-			if done != nil {
-				done()
-			}
-			return
-		}
-		stages[i](func() { run(i + 1) })
-	}
-	run(0)
-}
 
 // ForkJoin starts every branch immediately and calls done once all have
 // completed. With zero branches done fires synchronously.

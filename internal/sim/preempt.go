@@ -39,7 +39,7 @@ type Preemptible struct {
 	hasSuspended bool
 	hiQueue      []*pendingOp
 	loQueue      []*pendingOp
-	freeOps      []*pendingOp
+	freeOps      *pendingOp
 
 	preemptions uint64
 	busyTime    Time
@@ -52,10 +52,11 @@ type Preemptible struct {
 //
 //simlint:pooled
 type pendingOp struct {
-	p      *Preemptible
-	d      Time
-	done   func()
-	lowPri bool
+	p        *Preemptible
+	d        Time
+	done     func()
+	lowPri   bool
+	nextFree *pendingOp
 }
 
 type suspendedOp struct {
@@ -79,10 +80,8 @@ func (p *Preemptible) Busy() bool { return p.busy }
 
 //simlint:hotpath
 func (p *Preemptible) getOp() *pendingOp {
-	if n := len(p.freeOps); n > 0 {
-		op := p.freeOps[n-1]
-		p.freeOps[n-1] = nil
-		p.freeOps = p.freeOps[:n-1]
+	if op := p.freeOps; op != nil {
+		p.freeOps = op.nextFree
 		return op
 	}
 	//simlint:allow hotalloc pool growth: one-time allocation while the freelist warms up
@@ -93,8 +92,8 @@ func (p *Preemptible) getOp() *pendingOp {
 //simlint:release
 func (p *Preemptible) putOp(op *pendingOp) {
 	op.done = nil
-	//simlint:allow hotalloc amortized freelist growth; steady state reuses storage
-	p.freeOps = append(p.freeOps, op)
+	op.nextFree = p.freeOps
+	p.freeOps = op
 }
 
 // Use runs a preemptible (low-priority) operation of duration d, then done.

@@ -10,15 +10,35 @@ import "fmt"
 //
 //simlint:pooled
 type useReq struct {
-	r       *Resource
-	d       Time
-	done    func()
-	enqAt   Time // wait-span start; -1 when not enqueued under tracing
-	grantAt Time
+	r        *Resource
+	d        Time
+	done     func()
+	enqAt    Time // wait-span start; -1 when not enqueued under tracing
+	grantAt  Time
+	nextFree *useReq
 }
 
-// qent is one FIFO queue slot: either a pooled Use request or an
-// Acquire-path grant thunk. Exactly one field is set.
+// holdReq is one Acquire or Hold request. Its release (releaseHold) and
+// its queue-slot thunk (grantQueued) are method values bound once when
+// the request is created. Hold requests recycle through the resource's
+// freelist; an Acquire request serves one call, so its release panics on
+// any second call.
+//
+//simlint:pooled
+type holdReq struct {
+	r        *Resource
+	granted  func(release func())
+	release  func()
+	queued   func()
+	pooled   bool
+	held     bool // between grant and release
+	enqAt    Time // wait-span start; -1 when not enqueued under tracing
+	grantAt  Time
+	nextFree *holdReq
+}
+
+// qent is one FIFO queue slot: either a pooled Use request or a hold
+// request's grant thunk. Exactly one field is set.
 type qent struct {
 	w  *useReq
 	fn func()
@@ -43,12 +63,14 @@ type Resource struct {
 	inUse    int
 	draining bool
 
-	// FIFO queue with a head cursor instead of reslicing, so drained
-	// storage is reused rather than leaked; freeReqs recycles Use-path
-	// request structs.
-	q        []qent
-	head     int
-	freeReqs []*useReq
+	// FIFO ring buffer: n waiting slots from head, wrapping at len(q)
+	// (a power of two). A queue that never drains reuses its storage
+	// instead of growing. freeReqs and freeHolds link the idle pooled
+	// requests.
+	q         []qent
+	head, n   int
+	freeReqs  *useReq
+	freeHolds *holdReq
 
 	// Utilisation accounting.
 	busyTime   Time // integral of inUse over time, in unit-nanoseconds
@@ -76,7 +98,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of requests waiting for a unit.
-func (r *Resource) QueueLen() int { return len(r.q) - r.head }
+func (r *Resource) QueueLen() int { return r.n }
 
 // Grants returns how many acquisitions have been granted in total.
 func (r *Resource) Grants() uint64 { return r.grants }
@@ -100,10 +122,8 @@ func (r *Resource) Utilization() float64 {
 
 //simlint:hotpath
 func (r *Resource) getReq() *useReq {
-	if n := len(r.freeReqs); n > 0 {
-		w := r.freeReqs[n-1]
-		r.freeReqs[n-1] = nil
-		r.freeReqs = r.freeReqs[:n-1]
+	if w := r.freeReqs; w != nil {
+		r.freeReqs = w.nextFree
 		return w
 	}
 	//simlint:allow hotalloc pool growth: one-time allocation while the freelist warms up
@@ -114,85 +134,167 @@ func (r *Resource) getReq() *useReq {
 //simlint:release
 func (r *Resource) putReq(w *useReq) {
 	w.done = nil
-	//simlint:allow hotalloc amortized freelist growth; steady state reuses storage
-	r.freeReqs = append(r.freeReqs, w)
+	w.nextFree = r.freeReqs
+	r.freeReqs = w
 }
 
-// enqueue appends a request slot, tracking queue depth.
+// newHold builds a hold request with its callbacks bound.
+func (r *Resource) newHold() *holdReq {
+	//simlint:allow hotalloc pool growth: Hold allocates only while the freelist warms up
+	h := &holdReq{r: r}
+	h.release = h.releaseHold
+	h.queued = h.grantQueued
+	return h
+}
+
+//simlint:hotpath
+func (r *Resource) getHold() *holdReq {
+	if h := r.freeHolds; h != nil {
+		r.freeHolds = h.nextFree
+		return h
+	}
+	h := r.newHold()
+	h.pooled = true
+	return h
+}
+
+//simlint:hotpath
+//simlint:release
+func (r *Resource) putHold(h *holdReq) {
+	h.granted = nil
+	h.nextFree = r.freeHolds
+	r.freeHolds = h
+}
+
+// enqueue appends a request slot at the ring's tail, doubling the ring
+// (in FIFO order) when it is full.
 func (r *Resource) enqueue(ent qent) {
-	//simlint:allow hotalloc amortized queue growth; steady state reuses storage
-	r.q = append(r.q, ent)
-	if n := len(r.q) - r.head; n > r.peakQueue {
-		r.peakQueue = n
+	if r.n == len(r.q) {
+		r.grow()
+	}
+	r.q[(r.head+r.n)&(len(r.q)-1)] = ent
+	r.n++
+	if r.n > r.peakQueue {
+		r.peakQueue = r.n
 	}
 	if t := r.eng.trace; t != nil {
-		t.Counter(r.name, "queue", r.eng.now, float64(len(r.q)-r.head))
+		t.Counter(r.name, "queue", r.eng.now, float64(r.n))
 	}
 }
 
-// dequeue pops the FIFO head, compacting drained storage.
+// grow doubles the ring, unwrapping the waiting slots to its front.
+func (r *Resource) grow() {
+	size := 2 * len(r.q)
+	if size == 0 {
+		size = 8
+	}
+	//simlint:allow hotalloc amortized ring growth to the peak queue depth; steady state reuses storage
+	q := make([]qent, size)
+	for i := 0; i < r.n; i++ {
+		q[i] = r.q[(r.head+i)&(len(r.q)-1)]
+	}
+	r.q, r.head = q, 0
+}
+
+// dequeue pops the FIFO head.
 func (r *Resource) dequeue() qent {
 	ent := r.q[r.head]
 	r.q[r.head] = qent{}
-	r.head++
-	if r.head == len(r.q) {
-		r.q = r.q[:0]
-		r.head = 0
-	}
+	r.head = (r.head + 1) & (len(r.q) - 1)
+	r.n--
 	if t := r.eng.trace; t != nil {
-		t.Counter(r.name, "queue", r.eng.now, float64(len(r.q)-r.head))
+		t.Counter(r.name, "queue", r.eng.now, float64(r.n))
 	}
 	return ent
 }
 
 // Acquire requests one unit. When a unit is available — immediately, or
 // once earlier requests release — granted is invoked with a release
-// function that must be called exactly once. The grant happens
-// synchronously when capacity is free, so callers must not assume a
-// simulated-time delay.
+// function that must be called exactly once; a second call panics. The
+// grant happens synchronously when capacity is free, so callers must not
+// assume a simulated-time delay.
 //
-// Acquire is the flexible (closure-allocating) path; the common
-// hold-for-a-duration pattern should use Use, which recycles its request
-// and event structs through freelists and allocates nothing in steady
-// state.
+// Acquire allocates a request per call. Hold is the same wait through a
+// pooled request, and the common hold-for-a-duration pattern should use
+// Use; both allocate nothing in steady state.
 func (r *Resource) Acquire(granted func(release func())) {
-	grant := func() {
-		r.account()
-		r.inUse++
-		r.grants++
-		grantAt := r.eng.now
-		if t := r.eng.trace; t != nil {
-			t.Counter(r.name, "in_use", grantAt, float64(r.inUse))
-		}
-		released := false
-		granted(func() {
-			if released {
-				panic(fmt.Sprintf("sim: double release of %q", r.name))
-			}
-			released = true
-			if t := r.eng.trace; t != nil {
-				t.Span(r.name, "hold", grantAt, r.eng.now)
-			}
-			r.release()
-		})
-	}
+	r.hold(r.newHold(), granted)
+}
+
+// Hold acquires one unit like Acquire, through a pooled request: granted
+// receives the request's release function, bound once when the request
+// was created, so a steady-state Hold allocates nothing. Calling release
+// twice panics while the request waits in the pool, as Acquire's does;
+// once release has run the pool may hand the request to a later Hold, so
+// the holder must drop the function at its call (the handle contract of
+// every pooled record).
+//
+//simlint:hotpath
+func (r *Resource) Hold(granted func(release func())) {
+	r.hold(r.getHold(), granted)
+}
+
+// hold grants h at once when a unit is free, else queues it.
+//
+//simlint:hotpath
+func (r *Resource) hold(h *holdReq, granted func(release func())) {
+	h.granted = granted
 	// A free unit is handed over only when no earlier request is still
 	// queued; capacity can be momentarily free with a non-empty queue
 	// while a release drain is in progress, and granting here would let
 	// the newcomer overtake FIFO order.
-	if r.inUse < r.capacity && len(r.q) == r.head {
-		grant()
+	if r.inUse < r.capacity && r.n == 0 {
+		r.grantHold(h)
 		return
 	}
-	queued := grant
-	if t := r.eng.trace; t != nil {
-		enqAt := r.eng.now
-		queued = func() {
-			t.Span(r.name, "wait", enqAt, r.eng.now)
-			grant()
+	h.enqAt = -1
+	if r.eng.trace != nil {
+		h.enqAt = r.eng.now
+	}
+	r.enqueue(qent{fn: h.queued})
+}
+
+// grantQueued is a waiting hold request's grant thunk.
+func (h *holdReq) grantQueued() {
+	r := h.r
+	if h.enqAt >= 0 {
+		if t := r.eng.trace; t != nil {
+			t.Span(r.name, "wait", h.enqAt, r.eng.now)
 		}
 	}
-	r.enqueue(qent{fn: queued})
+	r.grantHold(h)
+}
+
+// grantHold takes one unit for h and hands the holder its release.
+func (r *Resource) grantHold(h *holdReq) {
+	r.account()
+	r.inUse++
+	r.grants++
+	h.grantAt = r.eng.now
+	if t := r.eng.trace; t != nil {
+		t.Counter(r.name, "in_use", h.grantAt, float64(r.inUse))
+	}
+	h.held = true
+	h.granted(h.release)
+}
+
+// releaseHold is a hold request's release function.
+//
+//simlint:hotpath
+func (h *holdReq) releaseHold() {
+	r := h.r
+	if !h.held {
+		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
+		panic(fmt.Sprintf("sim: double release of %q", r.name))
+	}
+	h.held = false
+	if t := r.eng.trace; t != nil {
+		t.Span(r.name, "hold", h.grantAt, r.eng.now)
+	}
+	if h.pooled {
+		r.putHold(h)
+	}
+	r.release()
 }
 
 // grantUse starts service for a Use-path request: one unit is taken and
@@ -250,7 +352,7 @@ func (r *Resource) release() {
 		return
 	}
 	r.draining = true
-	for r.inUse < r.capacity && r.head < len(r.q) {
+	for r.inUse < r.capacity && r.n > 0 {
 		ent := r.dequeue()
 		if ent.w != nil {
 			if ent.w.enqAt >= 0 {
@@ -281,7 +383,7 @@ func (r *Resource) Use(d Time, done func()) {
 	w.d = d
 	w.done = done
 	w.enqAt = -1
-	if r.inUse < r.capacity && len(r.q) == r.head {
+	if r.inUse < r.capacity && r.n == 0 {
 		r.grantUse(w)
 		return
 	}

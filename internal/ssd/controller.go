@@ -78,7 +78,7 @@ type Device struct {
 	drainWaiters []func()
 
 	// freeOps recycles the records of finished I/O operations (see pageOp).
-	freeOps []*pageOp
+	freeOps *pageOp
 
 	hostReads, hostWrites     uint64
 	updateReads, updateWrites uint64
@@ -142,14 +142,16 @@ func (d *Device) SetCommitHook(fn func(lpa, oldLin, newLin int64, gc bool)) {
 // commit binds lpa to ppa and notifies the hook with the displaced
 // physical page.
 func (d *Device) commit(lpa int64, ppa PPA, gc bool) {
+	if d.commitHook == nil {
+		d.ftl.CommitWrite(lpa, ppa, gc)
+		return
+	}
 	oldLin := int64(-1)
 	if old, ok := d.ftl.Lookup(lpa); ok {
 		oldLin = d.geo.Linear(old)
 	}
 	d.ftl.CommitWrite(lpa, ppa, gc)
-	if d.commitHook != nil {
-		d.commitHook(lpa, oldLin, d.geo.Linear(ppa), gc)
-	}
+	d.commitHook(lpa, oldLin, d.geo.Linear(ppa), gc)
 }
 
 // SetPlaneMapper replaces the logical-page → plane placement function used

@@ -330,7 +330,7 @@ func (f *FTL) CommitWrite(lpa int64, ppa PPA, gc bool) {
 	}
 	if old := f.l2p.get(lpa); old != unmapped {
 		f.p2l.set(old, unmapped)
-		f.validCount[f.geo.BlockIndex(f.geo.FromLinear(old))]--
+		f.validCount[old/int64(f.geo.PagesPerBlock)]-- // the block index of a linear page
 	}
 	f.l2p.set(lpa, lin)
 	f.p2l.set(lin, lpa)

@@ -48,16 +48,17 @@ type pageOp struct {
 	d       *Device
 	kind    opKind
 	stage   opStage
+	retries int32
 	lpa     int64
 	ppa     PPA
 	plane   int
-	retries int
 	done    func()
 	release func() // host write: the cache slot, held until the program commits
 
 	// next is advance and granted is grant, bound once per record.
-	next    func()
-	granted func(release func())
+	next     func()
+	granted  func(release func())
+	nextFree *pageOp
 }
 
 // getOp takes an operation record from the freelist (or allocates one
@@ -65,11 +66,9 @@ type pageOp struct {
 //
 //simlint:hotpath
 func (d *Device) getOp(kind opKind, lpa int64, done func()) *pageOp {
-	var op *pageOp
-	if n := len(d.freeOps); n > 0 {
-		op = d.freeOps[n-1]
-		d.freeOps[n-1] = nil
-		d.freeOps = d.freeOps[:n-1]
+	op := d.freeOps
+	if op != nil {
+		d.freeOps = op.nextFree
 	} else {
 		//simlint:allow hotalloc pool growth: one-time allocation while the freelist warms up
 		op = &pageOp{d: d}
@@ -91,8 +90,8 @@ func (d *Device) getOp(kind opKind, lpa int64, done func()) *pageOp {
 func (d *Device) putOp(op *pageOp) {
 	op.done = nil
 	op.release = nil
-	//simlint:allow hotalloc amortized freelist growth; steady state reuses storage
-	d.freeOps = append(d.freeOps, op)
+	op.nextFree = d.freeOps
+	d.freeOps = op
 }
 
 // at sets the step the record runs next and returns its callback.
@@ -162,7 +161,7 @@ func (d *Device) finish(op *pageOp) {
 // served from DRAM; any other host read goes to the array.
 func (d *Device) command(op *pageOp) {
 	if op.kind == opHostWrite {
-		d.cacheSlots.Acquire(op.granted)
+		d.cacheSlots.Hold(op.granted)
 		return
 	}
 	if d.dirty[op.lpa] > 0 {
@@ -248,7 +247,7 @@ func (d *Device) arrayReadDone(op *pageOp) {
 		d.Die(op.ppa.Channel, op.ppa.Die).Occupy(op.ppa.Addr, retry, op.at(stageRetried))
 		return
 	}
-	d.onReadDone(op.ppa, op.retries)
+	d.onReadDone(op.ppa, int(op.retries))
 	if op.kind == opHostRead {
 		d.channels[op.ppa.Channel].TransferOut(op.ppa.Die, d.geo.PageSize, op.at(stageTransferred))
 		return
