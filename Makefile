@@ -25,8 +25,9 @@
 # (also uploaded as a CI artifact); trace-verify
 # re-runs the tracing layer's contract tests by name (byte-identical
 # Chrome files across pool widths, zero disabled-tracer allocations,
-# trace/utilization reconciliation — DESIGN.md §8) so a verify log shows
-# their verdict explicitly. Run `make verify` before sending changes.
+# trace/utilization reconciliation — DESIGN.md §8) and every sim kernel
+# zero-allocation pin (Use, Hold, Preemptible suspend/resume — §9) so a
+# verify log shows their verdict explicitly. Run `make verify` before sending changes.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -68,7 +69,7 @@ tier6:
 trace-verify:
 	$(GO) test -run 'TestGoldenTraceDeterminism' -v ./internal/experiments/
 	$(GO) test -run 'TestTracedSweepDeterministicAcrossWidths' -v ./cmd/sweep/
-	$(GO) test -run 'TestDisabledTracerAddsNoAllocations|TestTracerObservesEngineAndResource' -v ./internal/sim/
+	$(GO) test -run 'TestDisabledTracerAddsNoAllocations|TestTracerObservesEngineAndResource|TestResourceHoldKeepsFIFOAndAllocatesNothing|TestPreemptibleSuspendResumeAllocatesNothing' -v ./internal/sim/
 	$(GO) test -run 'TestTracedRunMatchesUntraced|TestTraceReconcilesWithReportedLinkUtil' -v ./internal/core/
 
 # One `go test -fuzz` invocation per target: the fuzz engine accepts a

@@ -12,7 +12,8 @@ import (
 
 // PoolSafe is the flow-sensitive use-after-release detector for pooled
 // kernel objects. Types annotated `//simlint:pooled` (sim.Event, the
-// Resource use-request, the Preemptible op) recycle through freelists;
+// sim.request record that every Resource and Preemptible request uses,
+// ssd.pageOp, core.unit, core.batchRec) recycle through freelists;
 // functions annotated `//simlint:release` return their pooled argument
 // (or receiver) to the pool, after which the handle is dead — DESIGN.md
 // §9's handle contract. Any read, field write, call argument, or return

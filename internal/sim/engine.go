@@ -92,14 +92,15 @@ const (
 // owner knows the event completed — clear them in the callback or after
 // Cancel, as the in-tree callers do.
 //
+// The callback is fn(arg). Schedule, At and ScheduleBatch store the
+// caller's func() as arg under callFunc; the kernel's pooled paths pass a
+// package-level function and a pooled pointer, so neither form allocates
+// a closure per event.
+//
 //simlint:pooled
 type Event struct {
-	at Time
-	fn func()
-	// afn/arg is the allocation-free callback form used by the kernel's
-	// pooled internal paths: a package-level function plus a pointer-typed
-	// argument costs no closure allocation per event.
-	afn      func(any)
+	at       Time
+	fn       func(any)
 	arg      any
 	nextFree *Event
 	index    int32
@@ -182,10 +183,11 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // alloc takes an Event from the freelist (or the heap allocator when the
-// freelist is dry) and initializes it as pending at time t.
+// freelist is dry) and initializes it as pending at time t with callback
+// fn(arg).
 //
 //simlint:hotpath
-func (e *Engine) alloc(t Time) *Event {
+func (e *Engine) alloc(t Time, fn func(any), arg any) *Event {
 	ev := e.free
 	if ev != nil {
 		e.free = ev.nextFree
@@ -193,7 +195,7 @@ func (e *Engine) alloc(t Time) *Event {
 		//simlint:allow hotalloc pool growth: one-time allocation while the freelist warms up
 		ev = &Event{}
 	}
-	*ev = Event{at: t}
+	*ev = Event{at: t, fn: fn, arg: arg}
 	return ev
 }
 
@@ -206,7 +208,6 @@ func (e *Engine) alloc(t Time) *Event {
 //simlint:release
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
-	ev.afn = nil
 	ev.arg = nil
 	ev.nextFree = e.free
 	e.free = ev
@@ -314,11 +315,7 @@ func (e *Engine) remove(i int) {
 //
 //simlint:hotpath
 func (e *Engine) Schedule(delay Time, fn func()) *Event {
-	if delay < 0 {
-		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
-		panic(fmt.Sprintf("sim: negative delay %d at t=%d", delay, e.now))
-	}
-	return e.At(e.now+delay, fn)
+	return e.schedule(delay, callFunc, fn)
 }
 
 // At arranges for fn to run at absolute simulated time t, which must not be
@@ -330,29 +327,29 @@ func (e *Engine) At(t Time, fn func()) *Event {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
 	}
-	ev := e.alloc(t)
-	ev.fn = fn
-	e.push(ev)
-	return ev
+	return e.schedule(t-e.now, callFunc, fn)
 }
 
-// scheduleArg is the allocation-free internal scheduling path: fn is a
-// package-level function and arg a pooled pointer, so a steady-state
-// schedule-and-fire cycle allocates nothing (the Event itself comes from
-// the freelist, and a pointer in an interface value does not escape).
+// schedule is the one scheduling path: fn(arg) runs delay nanoseconds
+// from now. The kernel's pooled records pass a package-level fn and
+// themselves as arg, so a steady-state schedule-and-fire cycle allocates
+// nothing (the Event comes from the freelist, and a pointer or func in an
+// interface value is stored inline).
 //
 //simlint:hotpath
-func (e *Engine) scheduleArg(delay Time, fn func(any), arg any) *Event {
+func (e *Engine) schedule(delay Time, fn func(any), arg any) *Event {
 	if delay < 0 {
 		//simlint:allow hotalloc cold panic path; formatting happens only on a model bug
 		panic(fmt.Sprintf("sim: negative delay %d at t=%d", delay, e.now))
 	}
-	ev := e.alloc(e.now + delay)
-	ev.afn = fn
-	ev.arg = arg
+	ev := e.alloc(e.now+delay, fn, arg)
 	e.push(ev)
 	return ev
 }
+
+// callFunc runs a caller's func() that Schedule, At or ScheduleBatch
+// stored as the event's arg.
+func callFunc(arg any) { arg.(func())() }
 
 // Timed pairs a delay with a callback for ScheduleBatch.
 type Timed struct {
@@ -384,15 +381,12 @@ func (e *Engine) ScheduleBatch(items []Timed) {
 	// slots than a full re-heapify would.
 	if len(items) < 8 || len(items) < len(e.queue)>>2 {
 		for i := range items {
-			ev := e.alloc(e.now + items[i].Delay)
-			ev.fn = items[i].Fn
-			e.push(ev)
+			e.push(e.alloc(e.now+items[i].Delay, callFunc, items[i].Fn))
 		}
 		return
 	}
 	for i := range items {
-		ev := e.alloc(e.now + items[i].Delay)
-		ev.fn = items[i].Fn
+		ev := e.alloc(e.now+items[i].Delay, callFunc, items[i].Fn)
 		ev.index = int32(len(e.queue))
 		//simlint:allow hotalloc amortized queue growth; steady state reuses storage
 		e.queue = append(e.queue, entry{at: ev.at, seq: e.seq, ev: ev})
@@ -437,14 +431,9 @@ func (e *Engine) Step() bool {
 	// Recycle before running the callback: the common chain shape (an
 	// event whose callback schedules the next event) then reuses this very
 	// struct, keeping the pool at its steady-state size.
-	if fn := ev.fn; fn != nil {
-		e.recycle(ev)
-		fn()
-	} else {
-		afn, arg := ev.afn, ev.arg
-		e.recycle(ev)
-		afn(arg)
-	}
+	fn, arg := ev.fn, ev.arg
+	e.recycle(ev)
+	fn(arg)
 	return true
 }
 

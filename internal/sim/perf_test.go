@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // --- Bugfix regressions -------------------------------------------------
@@ -62,35 +63,6 @@ func TestPreemptibleSuspendDuringResumeOverhead(t *testing.T) {
 	}
 }
 
-// TestCounterAddToZeroFires pins the Add completion semantics: a delta
-// that brings the count to zero fires the callback exactly like Done and
-// Arm. The pre-fix Add only adjusted the count, so a fork-join cancelling
-// its last outstanding branches via Add(-k) deadlocked silently.
-func TestCounterAddToZeroFires(t *testing.T) {
-	fired := false
-	c := NewCounter(3, func() { fired = true })
-	c.Done()
-	c.Add(-2) // cancel the two remaining branches
-	if !fired {
-		t.Fatal("Add reaching zero did not fire the callback")
-	}
-	if c.Remaining() != 0 {
-		t.Fatalf("remaining = %d", c.Remaining())
-	}
-}
-
-// TestCounterAddBelowZeroPanics pins the over-completion check: driving
-// the count negative via Add is the same bug Done catches, and must panic
-// rather than corrupt the join.
-func TestCounterAddBelowZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add below zero did not panic")
-		}
-	}()
-	NewCounter(1, nil).Add(-2)
-}
-
 // --- Allocation pins ----------------------------------------------------
 
 // TestScheduleSteadyStateZeroAllocs pins the pooled Schedule path: once
@@ -111,6 +83,54 @@ func TestScheduleSteadyStateZeroAllocs(t *testing.T) {
 	//simlint:allow floateq AllocsPerRun returns a whole count; the pin is exactly zero
 	if per != 0 {
 		t.Fatalf("Schedule+Run allocates %v in steady state, want 0 (event pool broken)", per)
+	}
+}
+
+// TestPreemptibleSuspendResumeAllocatesNothing pins the pooled
+// Preemptible: once its request freelist, queues and the event pool are
+// warm, a cycle of a low op, a queued low op, a high op that suspends the
+// first, a queued high op and the resume allocates nothing. The timeline
+// (overhead 10): A(100) runs 0→50, hi1(20) 50→70, hi2(20) 70→90, A resumes
+// as 10+50 over 90→150, B(30) 150→180.
+func TestPreemptibleSuspendResumeAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	p := NewPreemptible(e, "plane", 10)
+	var aEnd, bEnd Time
+	doneA := func() { aEnd = e.Now() }
+	doneB := func() { bEnd = e.Now() }
+	hi := func() {
+		p.UsePriority(20, nil)
+		p.UsePriority(20, nil)
+	}
+	cycle := func() {
+		start := e.Now()
+		p.Use(100, doneA)
+		p.Use(30, doneB)
+		e.Schedule(50, hi)
+		e.Run()
+		if aEnd-start != 150 || bEnd-start != 180 {
+			t.Fatalf("A ended at +%d, B at +%d, want +150 and +180", aEnd-start, bEnd-start)
+		}
+	}
+	cycle()
+	if per := testing.AllocsPerRun(1000, cycle); per > 0 {
+		t.Fatalf("warm suspend/resume cycle allocates %v, want 0", per)
+	}
+	if got := p.Preemptions(); got != 1002 {
+		t.Fatalf("preemptions = %d, want one per cycle (1002)", got)
+	}
+}
+
+// TestKernelRecordSizes keeps the pooled records inside their allocation
+// size classes: the pools of a long admission window hold one Event per
+// pending completion and one request per waiting operation, so a record
+// that grows a class raises peak memory on every deep run.
+func TestKernelRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got > 48 {
+		t.Errorf("Event is %d bytes, want <= 48", got)
+	}
+	if got := unsafe.Sizeof(request{}); got > 64 {
+		t.Errorf("request is %d bytes, want <= 64", got)
 	}
 }
 

@@ -25,7 +25,6 @@ type Preemptible struct {
 	busy      bool
 	curLowPri bool
 	curEnd    *Event
-	curOp     *pendingOp
 	curDone   func()
 	curFinish Time
 	// curOverhead is the resume-overhead share at the front of the
@@ -35,33 +34,17 @@ type Preemptible struct {
 	// repeated suspends (see suspendCurrent).
 	curOverhead Time
 
-	suspended    suspendedOp
-	hasSuspended bool
-	hiQueue      []*pendingOp
-	loQueue      []*pendingOp
-	freeOps      *pendingOp
+	// suspended is the suspended operation (d is its remaining work) or
+	// nil; hi and lo queue the waiting operations. All are records from
+	// free. The operation in service lives in the cur fields, and its
+	// completion event carries the Preemptible itself.
+	suspended *request
+	hi, lo    fifo
+	free      freelist
 
 	preemptions uint64
 	busyTime    Time
 	curStart    Time
-}
-
-// pendingOp is one queued or in-service operation. Ops are recycled
-// through the freeOps freelist and double as the completion-event
-// argument, so a steady-state Use cycle allocates nothing.
-//
-//simlint:pooled
-type pendingOp struct {
-	p        *Preemptible
-	d        Time
-	done     func()
-	lowPri   bool
-	nextFree *pendingOp
-}
-
-type suspendedOp struct {
-	remaining Time
-	done      func()
 }
 
 // NewPreemptible builds the resource.
@@ -78,31 +61,15 @@ func (p *Preemptible) Preemptions() uint64 { return p.preemptions }
 // Busy reports whether an operation is executing right now.
 func (p *Preemptible) Busy() bool { return p.busy }
 
-//simlint:hotpath
-func (p *Preemptible) getOp() *pendingOp {
-	if op := p.freeOps; op != nil {
-		p.freeOps = op.nextFree
-		return op
-	}
-	//simlint:allow hotalloc pool growth: one-time allocation while the freelist warms up
-	return &pendingOp{p: p}
-}
-
-//simlint:hotpath
-//simlint:release
-func (p *Preemptible) putOp(op *pendingOp) {
-	op.done = nil
-	op.nextFree = p.freeOps
-	p.freeOps = op
-}
-
 // Use runs a preemptible (low-priority) operation of duration d, then done.
 //
 //simlint:hotpath
 func (p *Preemptible) Use(d Time, done func()) {
-	op := p.getOp()
-	op.d, op.done, op.lowPri = d, done, true
-	p.submit(op)
+	if p.busy {
+		p.wait(&p.lo, d, done)
+		return
+	}
+	p.start(d, done, true, 0)
 }
 
 // UsePriority runs a high-priority operation of duration d, suspending the
@@ -110,27 +77,21 @@ func (p *Preemptible) Use(d Time, done func()) {
 //
 //simlint:hotpath
 func (p *Preemptible) UsePriority(d Time, done func()) {
-	op := p.getOp()
-	op.d, op.done, op.lowPri = d, done, false
-	p.submit(op)
-}
-
-func (p *Preemptible) submit(op *pendingOp) {
-	if !op.lowPri && p.busy && p.curLowPri {
+	if p.busy && p.curLowPri {
 		p.suspendCurrent()
 	}
 	if p.busy {
-		if op.lowPri {
-			//simlint:allow hotalloc amortized queue growth; steady state reuses storage
-			p.loQueue = append(p.loQueue, op)
-		} else {
-			//simlint:allow hotalloc amortized queue growth; steady state reuses storage
-			p.hiQueue = append(p.hiQueue, op)
-		}
+		p.wait(&p.hi, d, done)
 		return
 	}
-	p.start(op.d, op.done, op.lowPri, 0)
-	p.putOp(op)
+	p.start(d, done, false, 0)
+}
+
+// wait queues an operation on q behind the one in service.
+func (p *Preemptible) wait(q *fifo, d Time, done func()) {
+	op := p.free.get()
+	op.d, op.done = d, done
+	q.push(op)
 }
 
 // suspendCurrent captures the occupant's remaining *work* and cancels its
@@ -154,12 +115,9 @@ func (p *Preemptible) suspendCurrent() {
 	}
 	p.busyTime += now - p.curStart
 	p.eng.Cancel(p.curEnd)
-	if p.curOp != nil {
-		p.putOp(p.curOp)
-		p.curOp = nil
-	}
-	p.suspended = suspendedOp{remaining: remaining, done: p.curDone}
-	p.hasSuspended = true
+	s := p.free.get()
+	s.d, s.done = remaining, p.curDone
+	p.suspended = s
 	p.preemptions++
 	p.busy = false
 	p.curEnd = nil
@@ -171,12 +129,9 @@ func (p *Preemptible) start(d Time, done func(), lowPri bool, overhead Time) {
 	p.curLowPri = lowPri
 	p.curDone = done
 	p.curStart = p.eng.Now()
-	p.curFinish = p.eng.Now() + d
+	p.curFinish = p.curStart + d
 	p.curOverhead = overhead
-	op := p.getOp()
-	op.done = done
-	p.curOp = op
-	p.curEnd = p.eng.scheduleArg(d, finishPreemptible, op)
+	p.curEnd = p.eng.schedule(d, finishPreemptible, p)
 }
 
 // finishPreemptible is the completion callback of the in-service
@@ -184,11 +139,8 @@ func (p *Preemptible) start(d Time, done func(), lowPri bool, overhead Time) {
 //
 //simlint:hotpath
 func finishPreemptible(arg any) {
-	op := arg.(*pendingOp)
-	p := op.p
-	done := op.done
-	p.curOp = nil
-	p.putOp(op)
+	p := arg.(*Preemptible)
+	done := p.curDone
 	p.busy = false
 	p.curEnd = nil
 	p.curDone = nil
@@ -205,27 +157,16 @@ func (p *Preemptible) dispatch() {
 	if p.busy {
 		return
 	}
-	if len(p.hiQueue) > 0 {
-		op := p.hiQueue[0]
-		copy(p.hiQueue, p.hiQueue[1:])
-		p.hiQueue = p.hiQueue[:len(p.hiQueue)-1]
+	if op := p.hi.pop(); op != nil {
 		p.start(op.d, op.done, false, 0)
-		p.putOp(op)
-		return
-	}
-	if p.hasSuspended {
-		s := p.suspended
-		p.suspended = suspendedOp{}
-		p.hasSuspended = false
-		p.start(s.remaining+p.ResumeOverhead, s.done, true, p.ResumeOverhead)
-		return
-	}
-	if len(p.loQueue) > 0 {
-		op := p.loQueue[0]
-		copy(p.loQueue, p.loQueue[1:])
-		p.loQueue = p.loQueue[:len(p.loQueue)-1]
+		p.free.put(op)
+	} else if s := p.suspended; s != nil {
+		p.suspended = nil
+		p.start(s.d+p.ResumeOverhead, s.done, true, p.ResumeOverhead)
+		p.free.put(s)
+	} else if op := p.lo.pop(); op != nil {
 		p.start(op.d, op.done, true, 0)
-		p.putOp(op)
+		p.free.put(op)
 	}
 }
 

@@ -77,7 +77,7 @@ func TestResourceDeepContentionIterativeDrain(t *testing.T) {
 	r := NewResource(e, "r", 1)
 
 	var hold func()
-	r.Acquire(func(release func()) { hold = release })
+	r.Hold(func(release func()) { hold = release })
 
 	var order []int
 	var times []Time
@@ -85,7 +85,7 @@ func TestResourceDeepContentionIterativeDrain(t *testing.T) {
 	pcs := make([]uintptr, 512)
 	for i := 0; i < waiters; i++ {
 		i := i
-		r.Acquire(func(release func()) {
+		r.Hold(func(release func()) {
 			order = append(order, i)
 			times = append(times, e.Now())
 			if d := runtime.Callers(0, pcs); d > maxDepth {
@@ -123,27 +123,27 @@ func TestResourceDeepContentionIterativeDrain(t *testing.T) {
 	}
 }
 
-// TestResourceAcquireDuringDrainKeepsFIFO pins the companion Acquire
-// guard: a granted callback that releases synchronously and immediately
+// TestResourceHoldDuringDrainKeepsFIFO pins the companion Hold guard: a
+// granted callback that releases synchronously and immediately
 // re-acquires must queue behind the already-waiting requests (capacity is
 // momentarily free mid-drain, but the queue is not empty).
-func TestResourceAcquireDuringDrainKeepsFIFO(t *testing.T) {
+func TestResourceHoldDuringDrainKeepsFIFO(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "r", 1)
 	var order []string
 
 	var hold func()
-	r.Acquire(func(release func()) { hold = release })
-	r.Acquire(func(release func()) {
+	r.Hold(func(release func()) { hold = release })
+	r.Hold(func(release func()) {
 		order = append(order, "a")
 		release()
 		// Queue is still holding b; this must not overtake it.
-		r.Acquire(func(release func()) {
+		r.Hold(func(release func()) {
 			order = append(order, "a2")
 			release()
 		})
 	})
-	r.Acquire(func(release func()) {
+	r.Hold(func(release func()) {
 		order = append(order, "b")
 		release()
 	})
@@ -169,7 +169,7 @@ func TestResourceDoubleReleasePanics(t *testing.T) {
 			t.Fatal("double release did not panic")
 		}
 	}()
-	r.Acquire(func(release func()) {
+	r.Hold(func(release func()) {
 		release()
 		release()
 	})
@@ -208,70 +208,6 @@ func TestResourceCounters(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	fired := false
-	c := NewCounter(2, func() { fired = true })
-	c.Done()
-	if fired {
-		t.Fatal("fired early")
-	}
-	c.Done()
-	if !fired {
-		t.Fatal("did not fire")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Done below zero did not panic")
-		}
-	}()
-	c.Done()
-}
-
-func TestCounterArmZero(t *testing.T) {
-	fired := false
-	c := NewCounter(0, func() { fired = true })
-	c.Arm()
-	if !fired {
-		t.Fatal("Arm with zero outstanding did not fire")
-	}
-}
-
-func TestCounterAdd(t *testing.T) {
-	fired := false
-	c := NewCounter(1, func() { fired = true })
-	c.Add(1)
-	c.Done()
-	if fired || c.Remaining() != 1 {
-		t.Fatalf("fired=%v remaining=%d", fired, c.Remaining())
-	}
-	c.Done()
-	if !fired {
-		t.Fatal("did not fire after Add accounted")
-	}
-}
-
-func TestForkJoin(t *testing.T) {
-	e := NewEngine()
-	var doneAt Time = -1
-	ForkJoin(func() { doneAt = e.Now() },
-		func(next func()) { e.Schedule(10, next) },
-		func(next func()) { e.Schedule(30, next) },
-		func(next func()) { e.Schedule(20, next) },
-	)
-	e.Run()
-	if doneAt != 30 {
-		t.Fatalf("join at %d, want 30 (max of branches)", doneAt)
-	}
-}
-
-func TestForkJoinEmpty(t *testing.T) {
-	done := false
-	ForkJoin(func() { done = true })
-	if !done {
-		t.Fatal("empty fork-join did not complete")
-	}
-}
-
 // TestResourceQueueStaysBounded pins the ring-buffer queue: a queue
 // that never drains, but whose depth stays small, must keep reusing its
 // storage. A slice queue that compacts only when it empties grows by one
@@ -300,7 +236,7 @@ func TestResourceQueueStaysBounded(t *testing.T) {
 		use()
 	}
 	e.Run()
-	if got := cap(r.q); got > 2*depth {
+	if got := cap(r.queue.buf); got > 2*depth {
 		t.Fatalf("queue storage grew to %d slots for a peak depth of %d, want <= %d", got, r.PeakQueue(), 2*depth)
 	}
 	if len(order) != issued {
@@ -314,7 +250,7 @@ func TestResourceQueueStaysBounded(t *testing.T) {
 }
 
 // TestResourceHoldDoubleReleasePanics pins the pooled Hold path's release
-// check, the same contract Acquire keeps.
+// check.
 func TestResourceHoldDoubleReleasePanics(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "r", 1)
@@ -327,6 +263,44 @@ func TestResourceHoldDoubleReleasePanics(t *testing.T) {
 		release()
 		release()
 	})
+}
+
+// TestResourceStaleHoldReleasePanics pins the release check across the
+// shared request freelist: after a Hold releases, its record is recycled
+// into the next request, and calling the stale release must panic
+// instead of releasing that request's unit. The next request is a Use in
+// service, or a Hold still waiting in the queue.
+func TestResourceStaleHoldReleasePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(r *Resource) (stale func())
+	}{
+		{"use", func(r *Resource) (stale func()) {
+			r.Hold(func(release func()) {
+				stale = release
+				release()
+			})
+			r.Use(10, nil) // takes the recycled record
+			return stale
+		}},
+		{"queued-hold", func(r *Resource) (stale func()) {
+			r.Hold(func(release func()) { stale = release })
+			r.Use(10, nil)                             // queued behind the Hold
+			stale()                                    // the Use is granted
+			r.Hold(func(release func()) { release() }) // takes the recycled record, queued behind the Use
+			return stale
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stale := tc.setup(NewResource(NewEngine(), "r", 1))
+			defer func() {
+				if recover() == nil {
+					t.Fatal("stale release of a recycled Hold request did not panic")
+				}
+			}()
+			stale()
+		})
+	}
 }
 
 // TestResourceHoldKeepsFIFOAndAllocatesNothing checks that pooled Hold

@@ -44,7 +44,7 @@ func (q *QueuePair) Completed() uint64 { return q.completed }
 // invoke exactly once; done (optional) fires after the slot is released.
 func (q *QueuePair) Submit(op func(complete func()), done func()) {
 	q.submitted++
-	q.slots.Acquire(func(release func()) {
+	q.slots.Hold(func(release func()) {
 		op(func() {
 			q.completed++
 			release()
