@@ -25,8 +25,10 @@
 # (also uploaded as a CI artifact); trace-verify
 # re-runs the tracing layer's contract tests by name (byte-identical
 # Chrome files across pool widths, zero disabled-tracer allocations,
-# trace/utilization reconciliation — DESIGN.md §8) and every sim kernel
-# zero-allocation pin (Use, Hold, Preemptible suspend/resume — §9) so a
+# trace/utilization reconciliation — DESIGN.md §8), every sim kernel
+# zero-allocation pin (Use, Hold, Preemptible suspend/resume — §9), the
+# Preemptible lost-suspended-op regression, and the device allocation
+# pins (window-sized set-up, allocation-free internal reads — §9) so a
 # verify log shows their verdict explicitly. Run `make verify` before sending changes.
 
 GO ?= go
@@ -69,7 +71,8 @@ tier6:
 trace-verify:
 	$(GO) test -run 'TestGoldenTraceDeterminism' -v ./internal/experiments/
 	$(GO) test -run 'TestTracedSweepDeterministicAcrossWidths' -v ./cmd/sweep/
-	$(GO) test -run 'TestDisabledTracerAddsNoAllocations|TestTracerObservesEngineAndResource|TestResourceHoldKeepsFIFOAndAllocatesNothing|TestPreemptibleSuspendResumeAllocatesNothing' -v ./internal/sim/
+	$(GO) test -run 'TestDisabledTracerAddsNoAllocations|TestTracerObservesEngineAndResource|TestResourceHoldKeepsFIFOAndAllocatesNothing|TestPreemptibleSuspendResumeAllocatesNothing|TestPreemptibleKeepsSuspendedOp' -v ./internal/sim/
+	$(GO) test -run 'TestSetupAllocScalesWithWindow|TestReadMappedAllocatesNothing' -v ./internal/ssd/
 	$(GO) test -run 'TestTracedRunMatchesUntraced|TestTraceReconcilesWithReportedLinkUtil' -v ./internal/core/
 
 # One `go test -fuzz` invocation per target: the fuzz engine accepts a

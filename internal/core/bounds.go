@@ -90,18 +90,27 @@ func MeasureUpdateWAF(cell nand.CellType, overProvision float64, steps int) (flo
 // AnalyticLifetime computes the wear-limited device lifetime of a
 // configuration, in optimizer steps, at a given steady-state WAF: the
 // state footprint times WAF is programmed each step, spread across the
-// full-geometry device's blocks with ideal wear levelling. fits is false
-// (and steps zero) when the state does not fit the usable capacity —
-// the same capacity test RunEndurance applies.
+// device's blocks with ideal wear levelling. fits is false (and steps
+// zero) when the state does not fit the usable capacity — the same
+// capacity test RunEndurance applies.
 func AnalyticLifetime(cfg Config, cell nand.CellType, waf float64) (steps float64, fits bool) {
-	stateBytes := int64(float64(cfg.Model.Params) * cfg.Spec().ResidentBytes())
-	full := nand.ParamsFor(cell)
-	geo := ssd.GeometryOf(cfg.SSD.Channels, cfg.SSD.DiesPerChannel, full)
-	usable := float64(geo.TotalBytes()) * (1 - cfg.SSD.OverProvision)
-	if float64(stateBytes) > usable {
+	geo, stateBytes, fits := cellDevice(cfg, cell)
+	if !fits {
 		return 0, false
 	}
-	wear := nand.DefaultWearModel(cell)
-	erasesPerStep := float64(stateBytes) * waf / float64(full.BlockBytes())
-	return wear.LifetimeSteps(geo.BlocksTotal(), erasesPerStep), true
+	blockBytes := int64(geo.PagesPerBlock) * int64(geo.PageSize)
+	erasesPerStep := float64(stateBytes) * waf / float64(blockBytes)
+	return nand.DefaultWearModel(cell).LifetimeSteps(geo.BlocksTotal(), erasesPerStep), true
+}
+
+// cellDevice is cfg's drive with its NAND in the given cell mode: the
+// cell's datasheet parameters at cfg's own block count. It returns that
+// geometry, the resident state footprint, and whether the state fits the
+// usable (over-provisioned) capacity.
+func cellDevice(cfg Config, cell nand.CellType) (geo ssd.Geometry, stateBytes int64, fits bool) {
+	n := nand.ParamsFor(cell)
+	n.BlocksPerPlane = cfg.SSD.Nand.BlocksPerPlane
+	geo = ssd.GeometryOf(cfg.SSD.Channels, cfg.SSD.DiesPerChannel, n)
+	stateBytes = int64(float64(cfg.Model.Params) * cfg.Spec().ResidentBytes())
+	return geo, stateBytes, float64(stateBytes) <= float64(geo.TotalBytes())*(1-cfg.SSD.OverProvision)
 }

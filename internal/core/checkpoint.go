@@ -28,8 +28,8 @@ type CheckpointReport struct {
 	Speedup float64
 
 	// CapacityNeeded is the device capacity an internal snapshot requires
-	// (two copies of the state), and CapacityOK whether the default
-	// full-geometry device has it.
+	// (two copies of the state), and CapacityOK whether the configured
+	// device has it.
 	CapacityNeeded int64
 	CapacityOK     bool
 }
@@ -66,19 +66,8 @@ func Checkpoint(cfg Config) (*CheckpointReport, error) {
 
 	// Capacity: the snapshot needs a second full copy resident.
 	r.CapacityNeeded = 2 * state
-	fullDevice := fullGeometryBytes(cfg)
-	r.CapacityOK = float64(r.CapacityNeeded) <= float64(fullDevice)*(1-cfg.SSD.OverProvision)
+	r.CapacityOK = float64(r.CapacityNeeded) <= float64(cfg.SSD.Geometry().TotalBytes())*(1-cfg.SSD.OverProvision)
 	return r, nil
-}
-
-// fullGeometryBytes returns the capacity of the real (non-windowed) device:
-// the configured topology with the physical 1024 blocks per plane.
-func fullGeometryBytes(cfg Config) int64 {
-	n := cfg.SSD.Nand
-	n.BlocksPerPlane = physBlocksPerPlane
-	geo := cfg.SSD
-	geo.Nand = n
-	return geo.Geometry().TotalBytes()
 }
 
 // String renders a one-line summary.

@@ -56,11 +56,10 @@ func TestCheckpointCapacityBinary(t *testing.T) {
 	n := cfg.SSD.Nand
 
 	planes := int64(cfg.SSD.Channels) * int64(cfg.SSD.DiesPerChannel) * int64(n.PlanesPerDie)
-	const physBlocksPerPlane = 1024 // full device, not the windowed test geometry
-	want := planes * physBlocksPerPlane * int64(n.PagesPerBlock) * int64(n.PageSize)
+	want := planes * int64(n.BlocksPerPlane) * int64(n.PagesPerBlock) * int64(n.PageSize)
 
-	if got := fullGeometryBytes(cfg); got != want {
-		t.Fatalf("fullGeometryBytes = %d, want %d (binary product of the topology)", got, want)
+	if got := cfg.SSD.Geometry().TotalBytes(); got != want || want != 512*int64(units.GiB) {
+		t.Fatalf("device = %d B, want %d (binary product of the topology: 512 GiB)", got, want)
 	}
 	// Binary capacity: an exact multiple of the KiB-aligned page size.
 	if units.Bytes(want)%units.Bytes(n.PageSize) != 0 || int64(n.PageSize)%int64(units.KiB) != 0 {

@@ -377,9 +377,16 @@ func TestHostOffloadSmallTopologyNoWedge(t *testing.T) {
 	}
 }
 
+// TestWindowCapacityGuard: a window whose state exceeds the drive is
+// refused before anything is simulated. The window covers all of GPT-13B
+// (a full step), whose state does not fit a one-die, 16 GiB drive.
 func TestWindowCapacityGuard(t *testing.T) {
 	cfg := testConfig(dnn.GPT13B())
-	cfg.MaxSimUnits = 10_000_000 // would exceed the simulated device window
+	cfg.SSD.Channels, cfg.SSD.DiesPerChannel = 1, 1
+	cfg.MaxSimUnits = 10_000_000
+	if pages := cfg.SimUnits() * int64(cfg.Comps()); pages <= cfg.SSD.Geometry().TotalPages() {
+		t.Fatalf("window of %d pages fits the %d-page drive", pages, cfg.SSD.Geometry().TotalPages())
+	}
 	for _, name := range []string{"optimstore", "hostoffload", "interleaved", "ctrlisp"} {
 		sys, _ := NewSystem(name, cfg)
 		_, err := sys.Run()

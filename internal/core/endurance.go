@@ -19,7 +19,7 @@ type EnduranceReport struct {
 
 	// StateBytes is the resident optimizer state footprint.
 	StateBytes int64
-	// DeviceBytes is the full-geometry device capacity in this cell mode.
+	// DeviceBytes is the configured device's capacity in this cell mode.
 	DeviceBytes int64
 	// Fits is false when the state does not fit the device at all.
 	Fits bool
@@ -56,16 +56,9 @@ func RunEndurance(cfg Config, cell nand.CellType, steps int) (*EnduranceReport, 
 		Optimizer: cfg.Optimizer.String(),
 		Cell:      cell,
 	}
-	spec := cfg.Spec()
-	rep.StateBytes = int64(float64(cfg.Model.Params) * spec.ResidentBytes())
-
-	// Full-geometry capacity in the chosen cell mode (not the reduced
-	// simulation window): a real 8×4-die drive with 1024 blocks/plane.
-	full := nand.ParamsFor(cell)
-	geo := ssd.GeometryOf(cfg.SSD.Channels, cfg.SSD.DiesPerChannel, full)
+	var geo ssd.Geometry
+	geo, rep.StateBytes, rep.Fits = cellDevice(cfg, cell)
 	rep.DeviceBytes = geo.TotalBytes()
-	usable := float64(rep.DeviceBytes) * (1 - cfg.SSD.OverProvision)
-	rep.Fits = float64(rep.StateBytes) <= usable
 	if !rep.Fits {
 		return rep, nil
 	}

@@ -28,21 +28,16 @@ func checkpointTimes(cfg Config) (hostStream, inStorage sim.Time, stateBytes int
 	return hostStream, inStorage, stateBytes
 }
 
-// physBlocksPerPlane is the real device's per-plane block count: the
-// simulated window shrinks ssd.Config's BlocksPerPlane, but recovery
-// scans (and checkpointing sizes against) the full physical plane.
-const physBlocksPerPlane = 1024
-
 // faultCosts derives the device-wide fault/checkpoint cost model from a
 // configuration. Scan is the power-loss mapping replay: one mapping-
-// summary read per physical block of the real (non-windowed) geometry,
-// all planes scanning in parallel.
+// summary read per block of the simulated device, all planes scanning in
+// parallel.
 func faultCosts(cfg Config) fault.Costs {
 	hostStream, inStorage, _ := checkpointTimes(cfg)
 	return fault.Costs{
 		HostStream: hostStream,
 		InStorage:  inStorage,
-		Scan:       cfg.SSD.Nand.ReadLatency * physBlocksPerPlane,
+		Scan:       cfg.SSD.Nand.ReadLatency.Scale(float64(cfg.SSD.Nand.BlocksPerPlane)),
 		Dies:       cfg.SSD.Geometry().Dies(),
 	}
 }

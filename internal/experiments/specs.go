@@ -603,11 +603,7 @@ func specF18() Spec {
 					Label: cell.String(),
 					X:     float64(i + 1),
 					Meta:  cell,
-					Apply: func(c *core.Config) {
-						n := nand.ParamsFor(cell)
-						n.BlocksPerPlane = c.SSD.Nand.BlocksPerPlane // keep the sim window small
-						c.SSD.Nand = n
-					},
+					Apply: func(c *core.Config) { c.SSD.Nand = nand.ParamsFor(cell) },
 				}
 			}
 			return []Axis{{Name: "cell", Values: vals}}

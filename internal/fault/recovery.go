@@ -5,7 +5,7 @@ import "repro/internal/sim"
 // Costs are the device-wide analytic quantities checkpoint and restore
 // accounting is built from. The core layer derives them from the system
 // configuration (optimizer-state footprint, link bandwidth, die-internal
-// copy bandwidth, full-geometry scan time).
+// copy bandwidth, whole-device scan time).
 type Costs struct {
 	// HostStream is the time to move the full optimizer state over the
 	// host link (out for a checkpoint, back in for a restore).

@@ -48,9 +48,9 @@ var elementWise = []optim.Kind{
 func sample(rng *rand.Rand) core.Config {
 	cell := []nand.CellType{nand.SLC, nand.MLC, nand.TLC, nand.QLC}[rng.Intn(4)]
 	n := nand.ParamsFor(cell)
-	// Same window trick as ssd.DefaultConfig: a small-capacity slice of
-	// the drive keeps FTL maps (and preload time) proportionate to the
-	// few hundred units actually simulated.
+	// A deliberately small physical drive (64 blocks per plane, 1/16 of
+	// ssd.DefaultConfig's): windowFits then draws the same configurations
+	// it always has, and the sweeps built on them keep their inputs.
 	n.BlocksPerPlane = 64
 
 	sc := ssd.DefaultConfig()

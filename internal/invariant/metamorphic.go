@@ -149,7 +149,7 @@ func CheckModelMonotonicity(system string, cfg core.Config) (*MonotonicityViolat
 	bigCfg.Model.Params *= 2
 	if !windowFits(bigCfg) {
 		// Doubling a model that was smaller than the window cap can grow
-		// the simulated window past the device slice; nothing to compare.
+		// the simulated window past the small sampled drive; nothing to compare.
 		return nil, nil
 	}
 	big, err := Run(system, bigCfg)

@@ -52,11 +52,21 @@ func (s suspendPlane) low(d sim.Time, done func())  { s.p.Use(d, done) }
 func (s suspendPlane) high(d sim.Time, done func()) { s.p.UsePriority(d, done) }
 func (s suspendPlane) utilization() float64         { return s.p.Utilization() }
 
-// plane is one independently operating plane of a die.
+// plane is one independently operating plane of a die. Its block table
+// grows to reach each block an operation addresses (checkAddr): blocks
+// past its end were never touched and read as the zero state.
 type plane struct {
 	busy   planeServer
 	pre    *sim.Preemptible // non-nil when read-suspend is enabled
 	blocks []blockState
+}
+
+// state returns a block's state; an untouched block reads as zero.
+func (pl *plane) state(b int) blockState {
+	if b < len(pl.blocks) {
+		return pl.blocks[b]
+	}
+	return blockState{}
 }
 
 // Die models one NAND die: PlanesPerDie independently schedulable planes,
@@ -86,7 +96,7 @@ func NewDie(eng *sim.Engine, name string, p Params) *Die {
 	d := &Die{eng: eng, name: name, params: p}
 	d.planes = make([]*plane, p.PlanesPerDie)
 	for i := range d.planes {
-		pl := &plane{blocks: make([]blockState, p.BlocksPerPlane)}
+		pl := &plane{}
 		planeName := fmt.Sprintf("%s/plane%d", name, i)
 		if p.ReadSuspend {
 			pl.pre = sim.NewPreemptible(eng, planeName, p.ResumeOverhead)
@@ -108,14 +118,20 @@ func (d *Die) Params() Params { return d.params }
 // Counts returns the accumulated operation tally.
 func (d *Die) Counts() OpCounts { return d.counts }
 
-func (d *Die) checkAddr(a Addr) *plane {
+// checkAddr validates an operation's address and returns its plane and
+// block, growing the plane's block table to reach the block.
+func (d *Die) checkAddr(a Addr) (*plane, *blockState) {
 	if d.failed {
 		panic(fmt.Sprintf("nand: %s: operation on failed die", d.name))
 	}
 	if !a.valid(d.params) {
 		panic(fmt.Sprintf("nand: %s: address %v outside geometry", d.name, a))
 	}
-	return d.planes[a.Plane]
+	pl := d.planes[a.Plane]
+	if n := a.Block + 1 - len(pl.blocks); n > 0 {
+		pl.blocks = append(pl.blocks, make([]blockState, n)...)
+	}
+	return pl, &pl.blocks[a.Block]
 }
 
 // Fail marks the die as failed (chip-level defect). A failed die keeps its
@@ -131,23 +147,19 @@ func (d *Die) Failed() bool { return d.failed }
 // touching the op counts. Crash-recovery rebuilds (ssd.Recover) use it to
 // copy the durable media state of a crashed device into a fresh one.
 func (d *Die) RestoreBlock(planeIdx, block, writePtr, eraseCount int) {
-	if planeIdx < 0 || planeIdx >= len(d.planes) || block < 0 || block >= d.params.BlocksPerPlane {
-		panic(fmt.Sprintf("nand: %s: restore of block %d/%d outside geometry", d.name, planeIdx, block))
-	}
+	_, blk := d.checkAddr(Addr{Plane: planeIdx, Block: block})
 	if writePtr < 0 || writePtr > d.params.PagesPerBlock || eraseCount < 0 {
 		panic(fmt.Sprintf("nand: %s: restore block %d/%d writePtr=%d erases=%d",
 			d.name, planeIdx, block, writePtr, eraseCount))
 	}
-	blk := &d.planes[planeIdx].blocks[block]
-	blk.writePtr = writePtr
-	blk.eraseCount = eraseCount
+	*blk = blockState{writePtr: writePtr, eraseCount: eraseCount}
 }
 
 // Read senses page a into the plane's page register, occupying the plane
 // for tR, then calls done. Reading a page that was never programmed is
 // legal at this layer (the FTL forbids it); the array timing is identical.
 func (d *Die) Read(a Addr, done func()) {
-	pl := d.checkAddr(a)
+	pl, _ := d.checkAddr(a)
 	d.counts.Reads++
 	pl.busy.high(d.params.ReadLatency, done)
 }
@@ -155,8 +167,7 @@ func (d *Die) Read(a Addr, done func()) {
 // Program writes the page register into page a, occupying the plane for
 // tPROG. It enforces sequential programming and erase-before-rewrite.
 func (d *Die) Program(a Addr, done func()) {
-	pl := d.checkAddr(a)
-	blk := &pl.blocks[a.Block]
+	pl, blk := d.checkAddr(a)
 	if a.Page != blk.writePtr {
 		panic(fmt.Sprintf("nand: %s: program %v but write pointer at page %d",
 			d.name, a, blk.writePtr))
@@ -173,7 +184,7 @@ func (d *Die) Program(a Addr, done func()) {
 // controller to model recovery procedures (read-retry, soft-decode passes)
 // that consume plane time without being ordinary array operations.
 func (d *Die) Occupy(a Addr, dur sim.Time, done func()) {
-	pl := d.checkAddr(a)
+	pl, _ := d.checkAddr(a)
 	pl.busy.high(dur, done)
 }
 
@@ -182,8 +193,7 @@ func (d *Die) Occupy(a Addr, dur sim.Time, done func()) {
 // pre-conditioned content at time zero and enforces the same sequential-
 // programming invariant as Program.
 func (d *Die) MarkProgrammed(a Addr) {
-	pl := d.checkAddr(a)
-	blk := &pl.blocks[a.Block]
+	_, blk := d.checkAddr(a)
 	if a.Page != blk.writePtr || blk.writePtr >= d.params.PagesPerBlock {
 		panic(fmt.Sprintf("nand: %s: mark-programmed %v but write pointer at page %d",
 			d.name, a, blk.writePtr))
@@ -194,8 +204,7 @@ func (d *Die) MarkProgrammed(a Addr) {
 // Erase resets block a.Block on a.Plane, occupying the plane for tBERS and
 // incrementing the block's program/erase cycle count.
 func (d *Die) Erase(a Addr, done func()) {
-	pl := d.checkAddr(Addr{Plane: a.Plane, Block: a.Block})
-	blk := &pl.blocks[a.Block]
+	pl, blk := d.checkAddr(Addr{Plane: a.Plane, Block: a.Block})
 	blk.writePtr = 0
 	blk.eraseCount++
 	d.counts.Erases++
@@ -204,12 +213,12 @@ func (d *Die) Erase(a Addr, done func()) {
 
 // WritePtr returns the next programmable page index of a block.
 func (d *Die) WritePtr(planeIdx, block int) int {
-	return d.planes[planeIdx].blocks[block].writePtr
+	return d.planes[planeIdx].state(block).writePtr
 }
 
 // EraseCount returns the accumulated P/E cycles of a block.
 func (d *Die) EraseCount(planeIdx, block int) int {
-	return d.planes[planeIdx].blocks[block].eraseCount
+	return d.planes[planeIdx].state(block).eraseCount
 }
 
 // MaxEraseCount returns the largest P/E count across all blocks.

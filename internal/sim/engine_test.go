@@ -362,6 +362,27 @@ func TestPreemptibleDoubleSuspend(t *testing.T) {
 	}
 }
 
+// TestPreemptibleKeepsSuspendedOp is the lost-operation regression: a
+// high-priority op's completion callback submits a low-priority op while
+// another op is suspended. The newcomer must queue behind the suspended
+// one; starting it at once let a second high-priority op suspend it and
+// overwrite the single suspended slot, so a never completed. Timeline:
+// a 0→50, hi 50→70, a 70→75, hi 75→95, a 95→140, b 140→150.
+func TestPreemptibleKeepsSuspendedOp(t *testing.T) {
+	e := NewEngine()
+	p := NewPreemptible(e, "plane", 0)
+	aEnd, bEnd := Time(-1), Time(-1)
+	p.Use(100, func() { aEnd = e.Now() })
+	e.Schedule(50, func() {
+		p.UsePriority(20, func() { p.Use(10, func() { bEnd = e.Now() }) })
+	})
+	e.Schedule(75, func() { p.UsePriority(20, nil) })
+	e.Run()
+	if aEnd != 140 || bEnd != 150 {
+		t.Fatalf("a ended at %d, b at %d, want 140 and 150", aEnd, bEnd)
+	}
+}
+
 func TestPreemptibleUtilization(t *testing.T) {
 	e := NewEngine()
 	p := NewPreemptible(e, "plane", 0)

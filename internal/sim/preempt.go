@@ -62,10 +62,13 @@ func (p *Preemptible) Preemptions() uint64 { return p.preemptions }
 func (p *Preemptible) Busy() bool { return p.busy }
 
 // Use runs a preemptible (low-priority) operation of duration d, then done.
+// It queues behind a suspended operation as well as a busy server: a
+// high-priority op's completion callback runs while the server is idle
+// but before the suspended occupant resumes.
 //
 //simlint:hotpath
 func (p *Preemptible) Use(d Time, done func()) {
-	if p.busy {
+	if p.busy || p.suspended != nil {
 		p.wait(&p.lo, d, done)
 		return
 	}

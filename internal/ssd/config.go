@@ -49,20 +49,16 @@ type Config struct {
 }
 
 // DefaultConfig returns the baseline SSD of the reproduction: 8 channels ×
-// 4 TLC dies (× 4 planes) — 128-plane internal parallelism.
-//
-// BlocksPerPlane is reduced from the physical 1024 to 64 so FTL map arrays
-// stay small: the simulated device is a 32 GiB *window* of the real 512 GiB
-// drive. Steady-state throughput depends on planes and timing, not block
-// count; capacity- and lifetime-dependent metrics are computed analytically
-// with the full geometry (see nand.WearModel.LifetimeSteps).
+// 4 TLC dies (× 4 planes, 1024 blocks each) — 128-plane internal
+// parallelism and 512 GiB of physical flash. The simulated device is the
+// whole drive: the FTL and the dies keep state only for the blocks a run
+// opens, so capacity, recovery and lifetime are priced from the same
+// geometry that is simulated.
 func DefaultConfig() Config {
-	n := nand.ParamsFor(nand.TLC)
-	n.BlocksPerPlane = 64
 	return Config{
 		Channels:          8,
 		DiesPerChannel:    4,
-		Nand:              n,
+		Nand:              nand.ParamsFor(nand.TLC),
 		OverProvision:     0.125,
 		GCLowWater:        2,
 		GCHighWater:       4,

@@ -124,8 +124,7 @@ func (d *Device) retireBlock(plane, block int) {
 		return
 	}
 	d.opStart()
-	lpas := d.ftl.ValidLPAs(plane, block)
-	d.relocate(plane, block, lpas, 0, func() {
+	d.relocate(plane, block, func() {
 		d.ftl.RetireBlock(plane, block)
 		d.boundary(BoundaryRetire, -1)
 		d.drainPending(plane)
@@ -179,15 +178,36 @@ func recoverInto(eng *sim.Engine, crashed *Device, failCh, failDie int) (*Device
 	}
 	dieFailed := func(ch, die int) bool { return ch == failCh && die == failDie }
 
-	// 1. Restore the durable media state: per-block write pointers and P/E
-	// counts survive power loss; controller RAM does not.
-	for ch := 0; ch < geo.Channels; ch++ {
-		for die := 0; die < geo.DiesPerChannel; die++ {
-			src, dst := crashed.Die(ch, die), d.Die(ch, die)
-			for pl := 0; pl < geo.PlanesPerDie; pl++ {
-				for b := 0; b < geo.BlocksPerPlane; b++ {
-					dst.RestoreBlock(pl, b, src.WritePtr(pl, b), src.EraseCount(pl, b))
-				}
+	// 1. Restore the durable media state — per-block write pointers and
+	// P/E counts survive power loss, controller RAM does not — and rebuild
+	// the allocation lists from it over the blocks the crashed FTL had
+	// opened: an erased block is free, anything written is sealed full.
+	// Retired blocks stay retired; a failed die's blocks are all retired.
+	// Blocks never opened stay past the rebuilt table's end (the
+	// never-opened cursor), so the rebuilt lists choose blocks exactly as
+	// one free list in block-id order would.
+	for p := range d.ftl.planes {
+		ch, die, pl := geo.PlaneLoc(p)
+		src, dst := crashed.Die(ch, die), d.Die(ch, die)
+		pa := &d.ftl.planes[p]
+		info.TornPages += int64(crashed.ftl.InflightPrograms(p))
+		n := len(crashed.ftl.planes[p].blocks)
+		if dieFailed(ch, die) {
+			n = geo.BlocksPerPlane
+		}
+		pa.blocks = make([]blockInfo, n)
+		for b := range pa.blocks {
+			wp, erases := src.WritePtr(pl, b), src.EraseCount(pl, b)
+			dst.RestoreBlock(pl, b, wp, erases)
+			pa.blocks[b].erases = int32(erases)
+			switch {
+			case dieFailed(ch, die) || crashed.ftl.Retired(p, b):
+				pa.blocks[b].retired = true
+				d.ftl.retiredCount++
+			case wp == 0:
+				pa.recycled = append(pa.recycled, int32(b))
+			default:
+				pa.full = append(pa.full, int32(b))
 			}
 		}
 	}
@@ -217,41 +237,11 @@ func recoverInto(eng *sim.Engine, crashed *Device, failCh, failDie int) (*Device
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, n := range crashed.ftl.inflight {
-		info.TornPages += int64(n)
-	}
-
-	// 3. Rebuild the allocation lists from the physical write pointers:
-	// untouched blocks are free, anything written is sealed full. Retired
-	// blocks stay retired; a failed die's blocks are all retired.
-	for p := 0; p < geo.Planes(); p++ {
-		ch, die, pl := geo.PlaneLoc(p)
-		srcDie := crashed.Die(ch, die)
-		pa := &d.ftl.planes[p]
-		pa.free = pa.free[:0]
-		pa.full = pa.full[:0]
-		pa.open[HotStream], pa.open[ColdStream] = -1, -1
-		base := p * geo.BlocksPerPlane
-		for b := 0; b < geo.BlocksPerPlane; b++ {
-			g := base + b
-			d.ftl.erases[g] = int32(srcDie.EraseCount(pl, b))
-			if crashed.ftl.retired[g] || dieFailed(ch, die) {
-				d.ftl.retired[g] = true
-				d.ftl.retiredCount++
-				continue
-			}
-			if srcDie.WritePtr(pl, b) == 0 {
-				pa.free = append(pa.free, int32(b))
-			} else {
-				pa.full = append(pa.full, int32(b))
-			}
-		}
-	}
 	if failCh >= 0 {
 		d.Die(failCh, failDie).Fail()
 	}
 
-	// 4. Carry the lifetime WAF tallies across the crash so endurance
+	// 3. Carry the lifetime WAF tallies across the crash so endurance
 	// accounting spans recoveries.
 	d.ftl.hostProgrammed = crashed.ftl.hostProgrammed
 	d.ftl.gcProgrammed = crashed.ftl.gcProgrammed

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"fmt"
+	"math"
 )
 
 const unmapped = int64(-1)
@@ -63,73 +64,44 @@ func (m *l2pMap) forEach(fn func(lpa, lin int64)) {
 // carved from one shared arena the first time a page in it is mapped and
 // stay attached to the block for the device's life: erase and retirement
 // clear them in place, and the block reuses them when it reopens. The
-// layout is pointer-free (one arena plus an int32 slot per block) so the
-// garbage collector never scans it.
+// layout is pointer-free (one arena plus an int32 slot in each block's
+// record) so the garbage collector never scans it.
 type p2lMap struct {
 	ppb   int64
-	slot  []int32 // per global block: 1 + arena slot, or 0 before first use
+	limit int64 // the device's physical pages: arena growth never exceeds it
 	arena []uint32
 }
 
-func newP2LMap(blocks, pagesPerBlock int) p2lMap {
-	return p2lMap{ppb: int64(pagesPerBlock), slot: make([]int32, blocks)}
-}
-
-// entries returns block b's entries, or nil when the block was never
-// mapped (every entry unmapped).
-func (m *p2lMap) entries(b int) []uint32 {
-	s := int64(m.slot[b])
-	if s == 0 {
+// run returns the entries at a block's slot (1 + arena run), or nil for
+// slot 0: a block never mapped, every entry unmapped.
+func (m *p2lMap) run(slot int32) []uint32 {
+	if slot == 0 {
 		return nil
 	}
-	off := (s - 1) * m.ppb
+	off := int64(slot-1) * m.ppb
 	return m.arena[off : off+m.ppb : off+m.ppb]
 }
 
-func (m *p2lMap) get(lin int64) int64 {
-	e := m.entries(int(lin / m.ppb))
-	if e == nil {
-		return unmapped
-	}
-	return int64(e[lin%m.ppb]) - 1
-}
-
-func (m *p2lMap) set(lin, lpa int64) {
-	b := int(lin / m.ppb)
-	e := m.entries(b)
-	if e == nil {
-		if lpa == unmapped {
-			return
-		}
-		e = m.attach(b)
-	}
-	e[lin%m.ppb] = uint32(lpa + 1)
-}
-
-// attach gives block b its own zeroed run of entries at the arena's end.
-func (m *p2lMap) attach(b int) []uint32 {
+// attach carves a zeroed run of entries at the arena's end and returns
+// its slot.
+func (m *p2lMap) attach() int32 {
 	off := int64(len(m.arena))
-	m.arena = extend(m.arena, off+m.ppb, int64(len(m.slot))*m.ppb)
-	m.slot[b] = int32(off/m.ppb) + 1
-	return m.arena[off : off+m.ppb : off+m.ppb]
+	m.arena = extend(m.arena, off+m.ppb, m.limit)
+	return int32(off/m.ppb) + 1
 }
 
-// clearBlock unmaps every page of block b (erase, retirement).
-func (m *p2lMap) clearBlock(b int) {
-	clear(m.entries(b))
-}
-
-// forEach visits every mapped entry in linear PPA order: blocks in index
-// order, pages in order within each block.
-func (m *p2lMap) forEach(fn func(lin, lpa int64)) {
-	for b := range m.slot {
-		base := int64(b) * m.ppb
-		for p, v := range m.entries(b) {
-			if v != 0 {
-				fn(base+int64(p), int64(v)-1)
-			}
-		}
-	}
+// blockInfo is the FTL's record of one block.
+type blockInfo struct {
+	valid  int32 // valid pages
+	erases int32 // P/E cycles (the FTL's own tally)
+	// inflight counts issued, not yet committed programs. A block with
+	// in-flight programs must not be erased: the mapping commits at
+	// program completion, and erasing out from under it would either
+	// destroy the data racing toward the block or let the commit land in
+	// an erased block.
+	inflight int32
+	p2l      int32 // reverse-map slot (see p2lMap.run)
+	retired  bool  // permanently out of circulation
 }
 
 // FTL is a page-level log-structured flash translation layer. It owns the
@@ -141,23 +113,11 @@ type FTL struct {
 	geo          Geometry
 	logicalPages int64
 
-	l2p        l2pMap  // logical page -> linear PPA, or unmapped
-	p2l        p2lMap  // linear PPA -> logical page, or unmapped (free/stale)
-	validCount []int32 // valid pages per global block
-	erases     []int32 // P/E cycles per global block (FTL's own tally)
+	l2p l2pMap // logical page -> linear PPA, or unmapped
+	p2l p2lMap // linear PPA -> logical page, or unmapped (free/stale)
 
-	// In-flight (issued, not yet committed) programs per global block, with
-	// per-plane totals. A block with in-flight programs must not be erased:
-	// the mapping commits at program completion, and erasing out from under
-	// it would either destroy the data racing toward the block or let the
-	// commit land in an erased block.
-	inflight      []int32
-	inflightPlane []int32
-
-	retired      []bool // blocks permanently out of circulation
+	planes       []planeAlloc
 	retiredCount int
-
-	planes []planeAlloc
 
 	// Write-amplification accounting.
 	hostProgrammed uint64
@@ -177,13 +137,22 @@ const (
 	ColdStream Stream = 1 // GC relocations
 )
 
-// planeAlloc is the allocation state of one plane: a FIFO of erased blocks,
-// per-stream open blocks being filled, and full blocks awaiting GC.
+// planeAlloc is the state of one plane: its block table, the erased
+// blocks ready to reopen, per-stream open blocks being filled, and full
+// blocks awaiting GC.
+//
+// The table holds the blocks opened so far, by block id, and grows by one
+// each time a never-opened block opens, so its length is the plane's
+// never-opened cursor: every block at or past it is erased, unworn and
+// unmapped, and reads as a zero record. Set-up therefore costs nothing
+// per block of the device, and a run's tables grow with the blocks its
+// window writes.
 type planeAlloc struct {
-	free []int32  // erased, ready to open
-	open [2]int32 // filling, per stream; -1 when none
-	next [2]int   // next page within open, per stream
-	full []int32  // completely written blocks
+	blocks   []blockInfo
+	recycled []int32  // erased after use, ready to reopen (FIFO)
+	open     [2]int32 // filling, per stream; -1 when none
+	next     [2]int   // next page within open, per stream
+	full     []int32  // completely written blocks
 }
 
 // NewFTL builds an FTL over the geometry exposing logicalPages of capacity.
@@ -196,27 +165,61 @@ func NewFTL(geo Geometry, logicalPages int64) *FTL {
 		panic(fmt.Sprintf("ssd: %d pages exceed the uint32 map encoding", total))
 	}
 	f := &FTL{
-		geo:           geo,
-		logicalPages:  logicalPages,
-		l2p:           l2pMap{limit: logicalPages},
-		p2l:           newP2LMap(geo.BlocksTotal(), geo.PagesPerBlock),
-		validCount:    make([]int32, geo.BlocksTotal()),
-		erases:        make([]int32, geo.BlocksTotal()),
-		inflight:      make([]int32, geo.BlocksTotal()),
-		inflightPlane: make([]int32, geo.Planes()),
-		retired:       make([]bool, geo.BlocksTotal()),
-		planes:        make([]planeAlloc, geo.Planes()),
+		geo:          geo,
+		logicalPages: logicalPages,
+		l2p:          l2pMap{limit: logicalPages},
+		p2l:          p2lMap{ppb: int64(geo.PagesPerBlock), limit: total},
+		planes:       make([]planeAlloc, geo.Planes()),
 	}
 	for p := range f.planes {
-		pa := &f.planes[p]
-		pa.open[HotStream] = -1
-		pa.open[ColdStream] = -1
-		pa.free = make([]int32, geo.BlocksPerPlane)
-		for b := range pa.free {
-			pa.free[b] = int32(b)
-		}
+		f.planes[p].open = [2]int32{-1, -1}
 	}
 	return f
+}
+
+// info returns a copy of a block's record; a never-opened block reads as
+// the zero record.
+func (f *FTL) info(planeIdx, block int) blockInfo {
+	if t := f.planes[planeIdx].blocks; block < len(t) {
+		return t[block]
+	}
+	return blockInfo{}
+}
+
+// at returns an opened block's record for update.
+func (f *FTL) at(planeIdx, block int) *blockInfo { return &f.planes[planeIdx].blocks[block] }
+
+// blockOf returns the plane and block holding linear page lin.
+func (f *FTL) blockOf(lin int64) (planeIdx, block int) {
+	b := int(lin / f.p2l.ppb)
+	return b / f.geo.BlocksPerPlane, b % f.geo.BlocksPerPlane
+}
+
+// reverse returns the logical page mapped at linear page lin, or unmapped.
+func (f *FTL) reverse(lin int64) int64 {
+	if e := f.p2l.run(f.info(f.blockOf(lin)).p2l); e != nil {
+		return int64(e[lin%f.p2l.ppb]) - 1
+	}
+	return unmapped
+}
+
+// mapPage binds linear page lin to lpa in both maps and counts it valid.
+func (f *FTL) mapPage(lpa, lin int64) {
+	blk := f.at(f.blockOf(lin))
+	if blk.p2l == 0 {
+		blk.p2l = f.p2l.attach()
+	}
+	f.p2l.run(blk.p2l)[lin%f.p2l.ppb] = uint32(lpa + 1)
+	blk.valid++
+	f.l2p.set(lpa, lin)
+}
+
+// unmapPage drops the reverse entry of the mapped linear page lin and its
+// valid count; the caller updates the forward map.
+func (f *FTL) unmapPage(lin int64) {
+	blk := f.at(f.blockOf(lin))
+	f.p2l.run(blk.p2l)[lin%f.p2l.ppb] = 0
+	blk.valid--
 }
 
 // Geometry returns the device geometry.
@@ -242,15 +245,19 @@ func (f *FTL) checkLPA(lpa int64) {
 	}
 }
 
-// FreeBlocks returns the number of erased blocks available in a plane.
-func (f *FTL) FreeBlocks(planeIdx int) int { return len(f.planes[planeIdx].free) }
+// FreeBlocks returns the number of erased blocks available in a plane:
+// the recycled ones plus those never opened.
+func (f *FTL) FreeBlocks(planeIdx int) int {
+	pa := &f.planes[planeIdx]
+	return len(pa.recycled) + f.geo.BlocksPerPlane - len(pa.blocks)
+}
 
 // AvailablePages returns the number of pages that can still be allocated
 // in the plane without reclaiming space: the remainders of the open blocks
 // plus all free blocks.
 func (f *FTL) AvailablePages(planeIdx int) int {
 	pa := &f.planes[planeIdx]
-	n := len(pa.free) * f.geo.PagesPerBlock
+	n := f.FreeBlocks(planeIdx) * f.geo.PagesPerBlock
 	for s := range pa.open {
 		if pa.open[s] >= 0 {
 			n += f.geo.PagesPerBlock - pa.next[s]
@@ -262,8 +269,7 @@ func (f *FTL) AvailablePages(planeIdx int) int {
 // CanAlloc reports whether AllocPage on the plane would succeed for the
 // hot stream.
 func (f *FTL) CanAlloc(planeIdx int) bool {
-	pa := &f.planes[planeIdx]
-	return pa.open[HotStream] >= 0 || len(pa.free) > 0
+	return f.planes[planeIdx].open[HotStream] >= 0 || f.FreeBlocks(planeIdx) > 0
 }
 
 // AllocPage claims the next hot-stream page of the plane's write frontier.
@@ -283,27 +289,15 @@ func (f *FTL) AllocPageStream(planeIdx int, stream Stream) PPA {
 	pa := &f.planes[planeIdx]
 	s := int(stream)
 	if pa.open[s] < 0 {
-		if len(pa.free) == 0 {
-			// Cold stream may borrow the hot open block rather than wedge.
-			if stream == ColdStream && pa.open[HotStream] >= 0 {
-				s = int(HotStream)
-			} else {
-				panic(fmt.Sprintf("ssd: plane %d out of blocks", planeIdx))
-			}
-		} else {
-			// Wear-aware selection: open the least-erased free block (ties
-			// to the lowest block id, keeping runs deterministic). This is
-			// the dynamic half of wear levelling.
-			base := planeIdx * f.geo.BlocksPerPlane
-			best := 0
-			for i := 1; i < len(pa.free); i++ {
-				if f.erases[base+int(pa.free[i])] < f.erases[base+int(pa.free[best])] {
-					best = i
-				}
-			}
-			pa.open[s] = pa.free[best]
-			pa.free = append(pa.free[:best], pa.free[best+1:]...)
+		switch {
+		case f.FreeBlocks(planeIdx) > 0:
+			pa.open[s] = f.openFree(pa)
 			pa.next[s] = 0
+		case stream == ColdStream && pa.open[HotStream] >= 0:
+			// Cold stream may borrow the hot open block rather than wedge.
+			s = int(HotStream)
+		default:
+			panic(fmt.Sprintf("ssd: plane %d out of blocks", planeIdx))
 		}
 	}
 	ch, die, plane := f.geo.PlaneLoc(planeIdx)
@@ -319,22 +313,41 @@ func (f *FTL) AllocPageStream(planeIdx int, stream Stream) PPA {
 	return ppa
 }
 
+// openFree takes the free block the plane opens next. Wear-aware
+// selection opens the least-erased free block, ties to the one freed
+// first — the dynamic half of wear levelling. Never-opened blocks are
+// unworn and rank ahead of every recycled block but an unworn one (only
+// recovery recycles those), lowest id first, so the cursor stands for
+// all of them.
+func (f *FTL) openFree(pa *planeAlloc) int32 {
+	best := -1
+	for i, b := range pa.recycled {
+		if best < 0 || pa.blocks[b].erases < pa.blocks[pa.recycled[best]].erases {
+			best = i
+		}
+	}
+	if best >= 0 && (len(pa.blocks) == f.geo.BlocksPerPlane || pa.blocks[pa.recycled[best]].erases == 0) {
+		b := pa.recycled[best]
+		pa.recycled = append(pa.recycled[:best], pa.recycled[best+1:]...)
+		return b
+	}
+	pa.blocks = append(pa.blocks, blockInfo{})
+	return int32(len(pa.blocks) - 1)
+}
+
 // CommitWrite binds lpa to a freshly allocated ppa, invalidating any prior
 // mapping. Host writes and GC relocations are tallied separately for
 // write-amplification reporting.
 func (f *FTL) CommitWrite(lpa int64, ppa PPA, gc bool) {
 	f.checkLPA(lpa)
 	lin := f.geo.Linear(ppa)
-	if f.p2l.get(lin) != unmapped {
+	if f.reverse(lin) != unmapped {
 		panic(fmt.Sprintf("ssd: commit to already-valid page %v", ppa))
 	}
 	if old := f.l2p.get(lpa); old != unmapped {
-		f.p2l.set(old, unmapped)
-		f.validCount[old/int64(f.geo.PagesPerBlock)]-- // the block index of a linear page
+		f.unmapPage(old)
 	}
-	f.l2p.set(lpa, lin)
-	f.p2l.set(lin, lpa)
-	f.validCount[f.geo.BlockIndex(ppa)]++
+	f.mapPage(lpa, lin)
 	if gc {
 		f.gcProgrammed++
 	} else {
@@ -346,8 +359,7 @@ func (f *FTL) CommitWrite(lpa int64, ppa PPA, gc bool) {
 func (f *FTL) Invalidate(lpa int64) {
 	f.checkLPA(lpa)
 	if old := f.l2p.get(lpa); old != unmapped {
-		f.p2l.set(old, unmapped)
-		f.validCount[f.geo.BlockIndex(f.geo.FromLinear(old))]--
+		f.unmapPage(old)
 		f.l2p.set(lpa, unmapped)
 	}
 }
@@ -356,26 +368,25 @@ func (f *FTL) Invalidate(lpa int64) {
 // at completion (EndProgram). The FTL refuses to pick blocks with in-
 // flight programs as GC victims while the count is nonzero.
 func (f *FTL) BeginProgram(ppa PPA) {
-	b := f.geo.BlockIndex(ppa)
-	f.inflight[b]++
-	f.inflightPlane[f.geo.PlaneOf(ppa)]++
+	f.at(f.geo.PlaneOf(ppa), ppa.Block).inflight++
 }
 
 // EndProgram retires a BeginProgram record when the program completes (or
 // completes stale, in which case no mapping is committed).
 func (f *FTL) EndProgram(ppa PPA) {
-	b := f.geo.BlockIndex(ppa)
-	f.inflight[b]--
-	f.inflightPlane[f.geo.PlaneOf(ppa)]--
-	if f.inflight[b] < 0 {
+	blk := f.at(f.geo.PlaneOf(ppa), ppa.Block)
+	if blk.inflight--; blk.inflight < 0 {
 		panic(fmt.Sprintf("ssd: EndProgram without BeginProgram on %v", ppa))
 	}
 }
 
 // InflightPrograms returns the number of issued-but-uncommitted programs
 // targeting the plane.
-func (f *FTL) InflightPrograms(planeIdx int) int {
-	return int(f.inflightPlane[planeIdx])
+func (f *FTL) InflightPrograms(planeIdx int) (n int) {
+	for _, b := range f.planes[planeIdx].blocks {
+		n += int(b.inflight)
+	}
+	return n
 }
 
 // PickVictim removes and returns the full block with the fewest valid
@@ -385,17 +396,16 @@ func (f *FTL) InflightPrograms(planeIdx int) int {
 // Blocks with in-flight programs are ineligible (see BeginProgram).
 func (f *FTL) PickVictim(planeIdx int) (block int, ok bool) {
 	pa := &f.planes[planeIdx]
-	base := planeIdx * f.geo.BlocksPerPlane
 	best := -1
-	for i := 0; i < len(pa.full); i++ {
-		if f.inflight[base+int(pa.full[i])] > 0 {
+	for i, b := range pa.full {
+		if pa.blocks[b].inflight > 0 {
 			continue
 		}
-		if best < 0 || f.validCount[base+int(pa.full[i])] < f.validCount[base+int(pa.full[best])] {
+		if best < 0 || pa.blocks[b].valid < pa.blocks[pa.full[best]].valid {
 			best = i
 		}
 	}
-	if best < 0 || int(f.validCount[base+int(pa.full[best])]) == f.geo.PagesPerBlock {
+	if best < 0 || int(pa.blocks[pa.full[best]].valid) == f.geo.PagesPerBlock {
 		return 0, false
 	}
 	b := pa.full[best]
@@ -422,35 +432,37 @@ func (f *FTL) TakeBlock(planeIdx, block int) bool {
 // must have removed it from the allocation lists (TakeBlock) and relocated
 // its valid pages first.
 func (f *FTL) RetireBlock(planeIdx, block int) {
-	g := planeIdx*f.geo.BlocksPerPlane + block
-	if f.retired[g] {
+	blk := f.at(planeIdx, block)
+	if blk.retired {
 		panic(fmt.Sprintf("ssd: block %d/%d retired twice", planeIdx, block))
 	}
-	if n := f.validCount[g]; n != 0 {
-		panic(fmt.Sprintf("ssd: retiring block %d/%d with %d valid pages", planeIdx, block, n))
+	if blk.valid != 0 {
+		panic(fmt.Sprintf("ssd: retiring block %d/%d with %d valid pages", planeIdx, block, blk.valid))
 	}
-	if f.inflight[g] != 0 {
+	if blk.inflight != 0 {
 		panic(fmt.Sprintf("ssd: retiring block %d/%d with in-flight programs", planeIdx, block))
 	}
 	// Drop stale reverse mappings so the retired block holds nothing.
-	f.p2l.clearBlock(g)
-	f.retired[g] = true
+	clear(f.p2l.run(blk.p2l))
+	blk.retired = true
 	f.retiredCount++
 }
 
 // Retired reports whether a plane's block has been retired.
-func (f *FTL) Retired(planeIdx, block int) bool {
-	return f.retired[planeIdx*f.geo.BlocksPerPlane+block]
-}
+func (f *FTL) Retired(planeIdx, block int) bool { return f.info(planeIdx, block).retired }
 
 // RetiredBlocks returns the total number of retired blocks.
 func (f *FTL) RetiredBlocks() int { return f.retiredCount }
 
 // MappedPages returns the number of logical pages currently mapped.
-func (f *FTL) MappedPages() int64 {
-	var n int64
-	for _, c := range f.validCount {
-		n += int64(c)
+func (f *FTL) MappedPages() int64 { return validIn(f.planes) }
+
+// validIn sums the valid pages of the planes' blocks.
+func validIn(planes []planeAlloc) (n int64) {
+	for p := range planes {
+		for _, b := range planes[p].blocks {
+			n += int64(b.valid)
+		}
 	}
 	return n
 }
@@ -484,14 +496,8 @@ func (f *FTL) NthMappedLPA(k int64) (lpa int64, ok bool) {
 // ValidPagesOnDie sums the valid pages mapped to one die — the data a die
 // failure would take out.
 func (f *FTL) ValidPagesOnDie(ch, die int) int64 {
-	var n int64
-	for p := 0; p < f.geo.PlanesPerDie; p++ {
-		base := f.geo.PlaneIndex(ch, die, p) * f.geo.BlocksPerPlane
-		for b := 0; b < f.geo.BlocksPerPlane; b++ {
-			n += int64(f.validCount[base+b])
-		}
-	}
-	return n
+	first := f.geo.PlaneIndex(ch, die, 0)
+	return validIn(f.planes[first : first+f.geo.PlanesPerDie])
 }
 
 // restoreMapping installs lpa→ppa during crash-recovery replay: same map
@@ -500,22 +506,20 @@ func (f *FTL) ValidPagesOnDie(ch, die int) int64 {
 func (f *FTL) restoreMapping(lpa int64, ppa PPA) {
 	f.checkLPA(lpa)
 	lin := f.geo.Linear(ppa)
-	if f.p2l.get(lin) != unmapped {
+	if f.reverse(lin) != unmapped {
 		panic(fmt.Sprintf("ssd: recovery maps two lpas to %v", ppa))
 	}
 	if f.l2p.get(lpa) != unmapped {
 		panic(fmt.Sprintf("ssd: recovery maps lpa %d twice", lpa))
 	}
-	f.l2p.set(lpa, lin)
-	f.p2l.set(lin, lpa)
-	f.validCount[f.geo.BlockIndex(ppa)]++
+	f.mapPage(lpa, lin)
 }
 
 // ValidLPAs returns the logical pages still valid in a plane's block, in
 // physical page order — the relocation work list for GC.
 func (f *FTL) ValidLPAs(planeIdx, block int) []int64 {
 	var lpas []int64
-	for _, v := range f.p2l.entries(planeIdx*f.geo.BlocksPerPlane + block) {
+	for _, v := range f.p2l.run(f.info(planeIdx, block).p2l) {
 		if v != 0 {
 			lpas = append(lpas, int64(v)-1)
 		}
@@ -525,46 +529,42 @@ func (f *FTL) ValidLPAs(planeIdx, block int) []int64 {
 
 // ValidCount returns the number of valid pages in a plane's block.
 func (f *FTL) ValidCount(planeIdx, block int) int {
-	return int(f.validCount[planeIdx*f.geo.BlocksPerPlane+block])
+	return int(f.info(planeIdx, block).valid)
 }
 
 // OnErased returns a block to the plane's free pool after the Device has
 // erased it. The block must hold no valid pages.
 func (f *FTL) OnErased(planeIdx, block int) {
-	if n := f.ValidCount(planeIdx, block); n != 0 {
-		panic(fmt.Sprintf("ssd: erasing block %d/%d with %d valid pages", planeIdx, block, n))
+	blk := f.at(planeIdx, block)
+	if blk.valid != 0 {
+		panic(fmt.Sprintf("ssd: erasing block %d/%d with %d valid pages", planeIdx, block, blk.valid))
 	}
-	if f.Retired(planeIdx, block) {
+	if blk.retired {
 		panic(fmt.Sprintf("ssd: erasing retired block %d/%d", planeIdx, block))
 	}
 	// Drop stale reverse mappings for the erased block.
-	blockGlobal := planeIdx*f.geo.BlocksPerPlane + block
-	f.p2l.clearBlock(blockGlobal)
-	f.erases[blockGlobal]++
-	f.planes[planeIdx].free = append(f.planes[planeIdx].free, int32(block))
+	clear(f.p2l.run(blk.p2l))
+	blk.erases++
+	f.planes[planeIdx].recycled = append(f.planes[planeIdx].recycled, int32(block))
 }
 
 // BlockErases returns the FTL's P/E tally for a plane's block.
 func (f *FTL) BlockErases(planeIdx, block int) int {
-	return int(f.erases[planeIdx*f.geo.BlocksPerPlane+block])
+	return int(f.info(planeIdx, block).erases)
 }
 
 // WearSpread returns the min and max P/E count across a plane's blocks —
-// the quantity wear levelling exists to bound.
-func (f *FTL) WearSpread(planeIdx int) (min, max int) {
-	base := planeIdx * f.geo.BlocksPerPlane
-	min = int(f.erases[base])
-	max = min
-	for b := 1; b < f.geo.BlocksPerPlane; b++ {
-		e := int(f.erases[base+b])
-		if e < min {
-			min = e
-		}
-		if e > max {
-			max = e
-		}
+// the quantity wear levelling exists to bound. Never-opened blocks count
+// as unworn.
+func (f *FTL) WearSpread(planeIdx int) (lo, hi int) {
+	t := f.planes[planeIdx].blocks
+	if lo = math.MaxInt; len(t) < f.geo.BlocksPerPlane {
+		lo = 0
 	}
-	return min, max
+	for _, b := range t {
+		lo, hi = min(lo, int(b.erases)), max(hi, int(b.erases))
+	}
+	return lo, hi
 }
 
 // HostProgrammed and GCProgrammed return the page-program tallies; their
@@ -584,62 +584,44 @@ func (f *FTL) WAF() float64 {
 }
 
 // CheckConsistent verifies the FTL invariants: l2p/p2l are inverse
-// bijections on mapped pages and validCount matches the reverse map. Used
-// by property tests; O(total pages).
+// bijections on mapped pages, valid counts match the reverse map, and
+// retired blocks hold nothing. Used by property tests; O(opened pages).
 func (f *FTL) CheckConsistent() error {
-	counts := make([]int32, len(f.validCount))
-	var err error
-	f.p2l.forEach(func(lin, lpa int64) {
-		if err != nil {
-			return
+	for p := range f.planes {
+		for b, blk := range f.planes[p].blocks {
+			g := p*f.geo.BlocksPerPlane + b
+			var valid int32
+			for i, v := range f.p2l.run(blk.p2l) {
+				if v == 0 {
+					continue
+				}
+				lin, lpa := int64(g)*f.p2l.ppb+int64(i), int64(v)-1
+				if lpa < 0 || lpa >= f.logicalPages {
+					return fmt.Errorf("p2l[%d] = %d out of range", lin, lpa)
+				}
+				if got := f.l2p.get(lpa); got != lin {
+					return fmt.Errorf("p2l[%d]=%d but l2p[%d]=%d", lin, lpa, lpa, got)
+				}
+				valid++
+			}
+			if valid != blk.valid {
+				return fmt.Errorf("block %d validCount %d, recount %d", g, blk.valid, valid)
+			}
+			if blk.retired && (blk.valid != 0 || blk.inflight != 0) {
+				return fmt.Errorf("retired block %d has valid=%d inflight=%d", g, blk.valid, blk.inflight)
+			}
+			if blk.inflight < 0 {
+				return fmt.Errorf("block %d inflight %d negative", g, blk.inflight)
+			}
 		}
-		if lpa < 0 || lpa >= f.logicalPages {
-			err = fmt.Errorf("p2l[%d] = %d out of range", lin, lpa)
-			return
-		}
-		if got := f.l2p.get(lpa); got != lin {
-			err = fmt.Errorf("p2l[%d]=%d but l2p[%d]=%d", lin, lpa, lpa, got)
-			return
-		}
-		counts[f.geo.BlockIndex(f.geo.FromLinear(lin))]++
-	})
-	if err != nil {
-		return err
 	}
+	var err error
 	f.l2p.forEach(func(lpa, lin int64) {
-		if err != nil {
-			return
-		}
-		if got := f.p2l.get(lin); got != lpa {
+		if got := f.reverse(lin); err == nil && got != lpa {
 			err = fmt.Errorf("l2p[%d]=%d but p2l[%d]=%d", lpa, lin, lin, got)
 		}
 	})
-	if err != nil {
-		return err
-	}
-	for b := range counts {
-		if counts[b] != f.validCount[b] {
-			return fmt.Errorf("block %d validCount %d, recount %d", b, f.validCount[b], counts[b])
-		}
-		if f.retired[b] && (f.validCount[b] != 0 || f.inflight[b] != 0) {
-			return fmt.Errorf("retired block %d has valid=%d inflight=%d",
-				b, f.validCount[b], f.inflight[b])
-		}
-	}
-	for p := range f.planes {
-		var sum int32
-		base := p * f.geo.BlocksPerPlane
-		for b := 0; b < f.geo.BlocksPerPlane; b++ {
-			if f.inflight[base+b] < 0 {
-				return fmt.Errorf("block %d inflight %d negative", base+b, f.inflight[base+b])
-			}
-			sum += f.inflight[base+b]
-		}
-		if sum != f.inflightPlane[p] {
-			return fmt.Errorf("plane %d inflight total %d, recount %d", p, f.inflightPlane[p], sum)
-		}
-	}
-	return nil
+	return err
 }
 
 // HasFullBlock reports whether the plane has at least one completely

@@ -170,6 +170,54 @@ func TestFTLAvailablePages(t *testing.T) {
 	}
 }
 
+// TestFTLDefaultGeometryOpensLazily runs the allocator on a plane of the
+// physical 1024-block default drive: every block starts free and unworn,
+// erased blocks wait behind the never-opened ones until those run out,
+// and only then reopen, least-worn (here, first-erased) first.
+func TestFTLDefaultGeometryOpensLazily(t *testing.T) {
+	cfg := DefaultConfig()
+	g := cfg.Geometry()
+	if g.BlocksPerPlane != 1024 {
+		t.Fatalf("default drive has %d blocks per plane, want the physical 1024", g.BlocksPerPlane)
+	}
+	f := NewFTL(g, cfg.LogicalPages())
+	last := g.BlocksPerPlane - 1
+	if f.FreeBlocks(0) != g.BlocksPerPlane || f.AvailablePages(0) != g.BlocksPerPlane*g.PagesPerBlock ||
+		f.BlockErases(0, last) != 0 || f.ValidCount(0, last) != 0 || f.Retired(0, last) {
+		t.Fatal("a fresh plane's blocks are not all free, unworn and unmapped")
+	}
+	// Each pass rewrites one block's worth of pages into a newly opened
+	// block and erases the block the previous pass filled.
+	for pass := 0; pass < g.BlocksPerPlane+64; pass++ {
+		for lpa := int64(0); lpa < int64(g.PagesPerBlock); lpa++ {
+			ppa := f.AllocPage(0)
+			if want := pass % g.BlocksPerPlane; lpa == 0 && ppa.Block != want {
+				t.Fatalf("pass %d opened block %d, want %d", pass, ppa.Block, want)
+			}
+			f.CommitWrite(lpa, ppa, false)
+		}
+		if pass > 0 {
+			victim, ok := f.PickVictim(0)
+			if !ok {
+				t.Fatalf("pass %d: no victim", pass)
+			}
+			f.OnErased(0, victim)
+		}
+		if n := f.FreeBlocks(0); n != g.BlocksPerPlane-1 {
+			t.Fatalf("pass %d: %d free blocks, want %d", pass, n, g.BlocksPerPlane-1)
+		}
+	}
+	if lo, hi := f.WearSpread(0); lo != 1 || hi != 2 {
+		t.Fatalf("wear spread %d..%d, want 1..2", lo, hi)
+	}
+	if lo, hi := f.WearSpread(1); lo != 0 || hi != 0 {
+		t.Fatalf("untouched plane's wear spread %d..%d, want 0..0", lo, hi)
+	}
+	if err := f.CheckConsistent(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFTLLPABoundsPanics(t *testing.T) {
 	f := newTestFTL()
 	defer func() {

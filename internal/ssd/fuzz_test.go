@@ -1,6 +1,9 @@
 package ssd
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzFTLOps drives the translation layer through an arbitrary byte-encoded
 // sequence of writes, trims, garbage collections and block retirements on
@@ -8,12 +11,19 @@ import "testing"
 // shadow valid-page map after every operation. Each op consumes two bytes:
 // an opcode selector and an argument (logical page or plane). A collection
 // opcode with its high bit set retires the victim instead of erasing it.
+//
+// A second shadow checks the FTL's lazily grown block tables against the
+// eager free list they replace: every block of a plane listed up front in
+// id order, erased blocks appended, and the first least-erased entry
+// opened. Every block the FTL opens must be the one that list picks, and
+// the free-block counts and wear spreads must agree.
 func FuzzFTLOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 2, 0, 3, 0})                     // write, write, trim, gc
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 2, 0, 3, 0, 0, 0})         // overwrite then collect
 	f.Add([]byte{0, 5, 0, 13, 0, 21, 2, 5, 3, 1, 0, 5, 3, 1}) // spread across planes
 	f.Add(retireAfterReuse())
+	f.Add(reopenCycles())
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			t.Skip("bounded op budget")
@@ -23,6 +33,33 @@ func FuzzFTLOps(f *testing.F) {
 		ftl := NewFTL(g, logical)
 		planes := g.Planes()
 		live := make(map[int64]bool)
+		free := make([][]int, planes)   // the eager free list, per plane
+		erases := make([][]int, planes) // its P/E tallies, per plane and block
+		for p := range free {
+			for b := 0; b < g.BlocksPerPlane; b++ {
+				free[p] = append(free[p], b)
+			}
+			erases[p] = make([]int, g.BlocksPerPlane)
+		}
+		// alloc claims a page; when that opens a block (page 0) it must be
+		// the eager list's first least-erased entry.
+		alloc := func(plane int, stream Stream) PPA {
+			ppa := ftl.AllocPageStream(plane, stream)
+			if ppa.Page != 0 {
+				return ppa
+			}
+			best := 0
+			for i, b := range free[plane] {
+				if erases[plane][b] < erases[plane][free[plane][best]] {
+					best = i
+				}
+			}
+			if want := free[plane][best]; ppa.Block != want {
+				t.Fatalf("plane %d opened block %d, eager free list opens %d", plane, ppa.Block, want)
+			}
+			free[plane] = append(free[plane][:best], free[plane][best+1:]...)
+			return ppa
+		}
 
 		// collect reclaims one victim block of a plane the way the device's
 		// GC does (relocate surviving pages, then erase), entirely through
@@ -40,8 +77,7 @@ func FuzzFTLOps(f *testing.F) {
 			}
 			erasesBefore := ftl.BlockErases(plane, victim)
 			for _, lpa := range ftl.ValidLPAs(plane, victim) {
-				ppa := ftl.AllocPageStream(plane, ColdStream)
-				ftl.CommitWrite(lpa, ppa, true)
+				ftl.CommitWrite(lpa, alloc(plane, ColdStream), true)
 			}
 			if n := ftl.ValidCount(plane, victim); n != 0 {
 				t.Fatalf("victim %d/%d still has %d valid pages after relocation", plane, victim, n)
@@ -54,6 +90,8 @@ func FuzzFTLOps(f *testing.F) {
 				return
 			}
 			ftl.OnErased(plane, victim)
+			free[plane] = append(free[plane], victim)
+			erases[plane][victim]++
 			if after := ftl.BlockErases(plane, victim); after != erasesBefore+1 {
 				t.Fatalf("erase count of %d/%d went %d -> %d", plane, victim, erasesBefore, after)
 			}
@@ -71,7 +109,7 @@ func FuzzFTLOps(f *testing.F) {
 				if !ftl.CanAlloc(plane) {
 					continue
 				}
-				ftl.CommitWrite(lpa, ftl.AllocPage(plane), false)
+				ftl.CommitWrite(lpa, alloc(plane, HotStream), false)
 				live[lpa] = true
 			case 2: // trim
 				lpa := arg % logical
@@ -82,6 +120,16 @@ func FuzzFTLOps(f *testing.F) {
 			}
 			if err := ftl.CheckConsistent(); err != nil {
 				t.Fatalf("op %d (%d %d): %v", i/2, op, arg, err)
+			}
+			for p := range free {
+				if n := ftl.FreeBlocks(p); n != len(free[p]) {
+					t.Fatalf("op %d: plane %d has %d free blocks, eager list %d", i/2, p, n, len(free[p]))
+				}
+				lo, hi := ftl.WearSpread(p)
+				if lo != slices.Min(erases[p]) || hi != slices.Max(erases[p]) {
+					t.Fatalf("op %d: plane %d wear spread %d..%d, want %d..%d",
+						i/2, p, lo, hi, slices.Min(erases[p]), slices.Max(erases[p]))
+				}
 			}
 		}
 
@@ -117,5 +165,33 @@ func retireAfterReuse() []byte {
 	rewrite()                  // block 0 goes stale after its reuse
 	ops = append(ops, 0x83, 0) // retire it
 	rewrite()
+	return ops
+}
+
+// reopenCycles encodes a run on plane 0: one block of cold data stays
+// valid while the other blocks fill, go stale and are erased one at a
+// time, retiring one on the way. Blocks reopen first while never-opened
+// ones remain (the fresh block wins over the once-erased ones), then in
+// FIFO order, and once the cold block is trimmed and erased it reopens
+// ahead of the more-worn blocks queued before it.
+func reopenCycles() []byte {
+	var ops []byte
+	write := func(op byte, lpas ...byte) {
+		for _, lpa := range lpas { // all on plane 0
+			ops = append(ops, op, lpa)
+		}
+	}
+	write(0, 32, 40, 48, 56) // the cold block
+	for i := 0; i < 24; i++ {
+		write(0, 0, 8, 16, 24)
+		gc := byte(3)
+		if i == 9 {
+			gc = 0x83
+		}
+		ops = append(ops, gc, 0)
+	}
+	write(2, 32, 40, 48, 56)
+	ops = append(ops, 3, 0)
+	write(0, 0, 8, 16, 24)
 	return ops
 }

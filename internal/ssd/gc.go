@@ -44,57 +44,70 @@ func (d *Device) gcStep(plane int) {
 		d.gcFinish(plane)
 		return
 	}
-	lpas := d.ftl.ValidLPAs(plane, victim)
-	d.relocate(plane, victim, lpas, 0, func() { d.eraseVictim(plane, victim) })
+	d.relocate(plane, victim, func() { d.eraseVictim(plane, victim) })
 }
 
-// relocate moves the i-th still-valid page of a block, then recurses; when
-// the list is exhausted it calls then (GC erases the victim; retirement
-// seals the block). Relocation commits at program completion like every
-// other write: if an update or trim supersedes the page while the copyback
-// program is in flight, the commit is skipped and the target page becomes
-// dead garbage (counted in GCStalePrograms) — committing anyway would
-// resurrect trimmed data or roll an update back.
-func (d *Device) relocate(plane, victim int, lpas []int64, i int, then func()) {
-	if i >= len(lpas) {
-		then()
-		return
-	}
-	lpa := lpas[i]
-	old, ok := d.ftl.Lookup(lpa)
-	// Skip pages that were rewritten (and hence invalidated in the victim)
-	// after the work list was built.
-	if !ok || d.geo.PlaneOf(old) != plane || old.Block != victim {
-		d.relocate(plane, victim, lpas, i+1, then)
-		return
-	}
-	die := d.Die(old.Channel, old.Die)
-	die.Read(old.Addr, func() {
-		// Re-check: the mapping may have moved while the read was queued.
-		cur, ok := d.ftl.Lookup(lpa)
-		if !ok || cur != old {
-			d.relocate(plane, victim, lpas, i+1, then)
+// relocate moves a block's valid pages within its plane, one at a time
+// in page order, then calls then (GC erases the victim; retirement seals
+// the block). One pageOp record carries the whole block. Relocation
+// commits at program completion like every other write: if an update or
+// trim supersedes the page while the copyback program is in flight, the
+// commit is skipped and the target page becomes dead garbage (counted in
+// GCStalePrograms) — committing anyway would resurrect trimmed data or
+// roll an update back.
+func (d *Device) relocate(plane, victim int, then func()) {
+	ch, die, pl := d.geo.PlaneLoc(plane)
+	first := d.geo.Linear(PPA{Channel: ch, Die: die, Addr: nand.Addr{Plane: pl, Block: victim}})
+	op := d.getOp(opRelocate, -1, then)
+	op.plane, op.src, op.srcEnd = plane, first-1, first+int64(d.geo.PagesPerBlock)
+	d.relocateNext(op)
+}
+
+// relocateNext reads the block's next page still mapped (pages trimmed or
+// rewritten meanwhile are skipped); with none left it retires the record
+// and calls then.
+func (d *Device) relocateNext(op *pageOp) {
+	for op.src++; op.src < op.srcEnd; op.src++ {
+		if op.lpa = d.ftl.reverse(op.src); op.lpa != unmapped {
+			src := d.geo.FromLinear(op.src)
+			d.Die(src.Channel, src.Die).Read(src.Addr, op.at(stageCopyRead))
 			return
 		}
-		stream := HotStream
-		if d.cfg.HotColdSeparation {
-			stream = ColdStream
-		}
-		ppa := d.ftl.AllocPageStream(plane, stream)
-		d.ftl.BeginProgram(ppa)
-		die.Program(ppa.Addr, func() {
-			d.ftl.EndProgram(ppa)
-			if cur2, ok2 := d.ftl.Lookup(lpa); ok2 && cur2 == old {
-				d.commit(lpa, ppa, true)
-				d.gcRelocations++
-				d.boundary(BoundaryGC, lpa)
-			} else {
-				d.gcStale++
-				d.boundary(BoundaryGCStale, lpa)
-			}
-			d.relocate(plane, victim, lpas, i+1, then)
-		})
-	})
+	}
+	then := op.done
+	d.putOp(op)
+	then()
+}
+
+// relocateRead programs the copy of a page whose array read completed,
+// unless the mapping moved while the read was queued.
+func (d *Device) relocateRead(op *pageOp) {
+	if d.ftl.l2p.get(op.lpa) != op.src {
+		d.relocateNext(op)
+		return
+	}
+	stream := HotStream
+	if d.cfg.HotColdSeparation {
+		stream = ColdStream
+	}
+	op.ppa = d.ftl.AllocPageStream(op.plane, stream)
+	d.ftl.BeginProgram(op.ppa)
+	d.Die(op.ppa.Channel, op.ppa.Die).Program(op.ppa.Addr, op.at(stageCopied))
+}
+
+// relocateProgrammed commits a completed copy (or counts it stale) and
+// moves on to the next page.
+func (d *Device) relocateProgrammed(op *pageOp) {
+	d.ftl.EndProgram(op.ppa)
+	if d.ftl.l2p.get(op.lpa) == op.src {
+		d.commit(op.lpa, op.ppa, true)
+		d.gcRelocations++
+		d.boundary(BoundaryGC, op.lpa)
+	} else {
+		d.gcStale++
+		d.boundary(BoundaryGCStale, op.lpa)
+	}
+	d.relocateNext(op)
 }
 
 func (d *Device) eraseVictim(plane, victim int) {

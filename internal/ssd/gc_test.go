@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -154,5 +155,46 @@ func TestGCNoLivePageLoss(t *testing.T) {
 				t.Fatalf("WAF %v, programs imply %v", s.WAF, wantWAF)
 			}
 		})
+	}
+}
+
+// TestGCRelocationAllocatesPerBlock pins garbage collection to the pooled
+// operation records: once warm, a GC-heavy update sweep allocates per
+// victim block (its erase continuation), never per relocated page. (The
+// closure-per-step relocation allocated two closures per page.)
+func TestGCRelocationAllocatesPerBlock(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Nand.BlocksPerPlane = 16
+	cfg.Nand.PagesPerBlock = 32
+	cfg.OverProvision = 0.07
+	e := sim.NewEngine()
+	d := NewDevice(e, cfg)
+	pages := d.FTL().LogicalPages()
+	for lpa := int64(0); lpa < pages; lpa++ {
+		d.Preload(lpa)
+	}
+	sweep := func() {
+		for lpa := int64(0); lpa < pages; lpa++ {
+			d.ProgramUpdate(lpa, nil)
+		}
+		runDrained(t, e, d)
+	}
+	sweep() // fill the log and warm the pools
+	sweep()
+	before := d.Stats()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	sweep()
+	runtime.ReadMemStats(&ms)
+	moved := d.Stats().GCRelocations - before.GCRelocations
+	erased := d.Stats().GCErases - before.GCErases
+	allocs := ms.Mallocs - mallocs
+	t.Logf("%d allocations for %d relocated pages from %d victim blocks", allocs, moved, erased)
+	if moved < 10*erased {
+		t.Fatalf("%d relocations from %d victims: not GC-heavy enough to tell", moved, erased)
+	}
+	if allocs > 4*erased {
+		t.Fatalf("%d allocations for %d relocated pages from %d victims, want <= 4 per victim", allocs, moved, erased)
 	}
 }

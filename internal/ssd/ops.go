@@ -11,6 +11,7 @@ const (
 	opInternalRead               // ReadMapped, ScrubRead: array read only
 	opUpdate                     // ProgramUpdate: array program only
 	opTransfer                   // TransferToDie/TransferFromDie: bus only
+	opRelocate                   // GC or retirement: copy a block's valid pages
 )
 
 // opStage names the step a pageOp runs when its pending callback fires.
@@ -26,6 +27,8 @@ const (
 	stageArrayRead                  // array read complete
 	stageRetried                    // read-retry pass complete: read again
 	stageTransferred                // bus transfer complete
+	stageCopyRead                   // relocation: array read of src complete
+	stageCopied                     // relocation: program of the copy complete
 )
 
 // pageOp is one in-flight device operation. Its steps run as callbacks of
@@ -54,6 +57,10 @@ type pageOp struct {
 	plane   int
 	done    func()
 	release func() // host write: the cache slot, held until the program commits
+
+	// Relocation: the linear page being moved (ppa is its copy) and the
+	// end of its block's pages.
+	src, srcEnd int64
 
 	// next is advance and granted is grant, bound once per record.
 	next     func()
@@ -131,6 +138,10 @@ func (op *pageOp) advance() {
 			d.hostReads++
 		}
 		d.finish(op)
+	case stageCopyRead:
+		d.relocateRead(op)
+	case stageCopied:
+		d.relocateProgrammed(op)
 	}
 }
 

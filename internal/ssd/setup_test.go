@@ -82,6 +82,35 @@ func TestSetupAllocScalesWithWindow(t *testing.T) {
 	}
 }
 
+// TestDeviceBuildIndependentOfBlockCount pins the device's construction
+// to its topology: the FTL and the dies keep state only for blocks a run
+// opens, so building the 1024-block default drive allocates what building
+// a 64-block one does (exactly without the race detector, within a few
+// hundred bytes with it), not 16 B or more per added block.
+func TestDeviceBuildIndependentOfBlockCount(t *testing.T) {
+	build := func(blocks int) uint64 {
+		cfg := ssd.DefaultConfig()
+		cfg.Nand.BlocksPerPlane = blocks
+		var ms runtime.MemStats
+		var least uint64
+		for i := 0; i < 3; i++ {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			ssd.NewDevice(sim.NewEngine(), cfg)
+			runtime.ReadMemStats(&ms)
+			if b := ms.TotalAlloc - before; i == 0 || b < least {
+				least = b
+			}
+		}
+		return least
+	}
+	added := uint64(ssd.DefaultConfig().Geometry().Planes() * (1024 - 64))
+	if small, full := build(64), build(1024); full > small+added {
+		t.Fatalf("building the 1024-block drive allocates %d B, the 64-block one %d B: "+
+			"more than a byte per added block", full, small)
+	}
+}
+
 // BenchmarkDeviceSetup measures one device set-up at a small and at the
 // paper-scale window.
 func BenchmarkDeviceSetup(b *testing.B) {
